@@ -1,4 +1,7 @@
-// Seed-deterministic random generator for the differential fuzzing harness.
+// Seed-deterministic random generator: the one SplitMix64 of the repository.
+// The fuzzing harness, loadgen pacing, chaos schedules, retry jitter and the
+// bootstrap CIs of the bench statistics all draw from it. Header-only, so
+// including it adds no link dependency.
 //
 // The whole check subsystem promises byte-identical behavior for a given
 // --seed across platforms, thread counts, and standard libraries, so this is
@@ -17,12 +20,20 @@ class Rng {
  public:
   explicit constexpr Rng(std::uint64_t seed) : state_(seed) {}
 
-  // Next 64 uniform bits (SplitMix64 step).
-  constexpr std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+  // One SplitMix64 step on a state word the caller keeps.
+  static constexpr std::uint64_t step(std::uint64_t& state) {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
+  }
+
+  // Next 64 uniform bits.
+  constexpr std::uint64_t next() { return step(state_); }
+
+  // Uniform double in (0, 1]: never 0, so -log() is finite.
+  constexpr double next_unit() {
+    return (static_cast<double>(next() >> 11) + 1.0) / 9007199254740993.0;
   }
 
   // Uniform in [0, bound); bound == 0 yields 0. Simple modulo: the bias for

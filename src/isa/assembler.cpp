@@ -1,10 +1,12 @@
 #include "isa/assembler.h"
 
+#include <array>
 #include <bit>
 #include <cctype>
 #include <optional>
 
 #include "isa/isa.h"
+#include "isa/opcodes.h"
 #include "util/args.h"
 
 namespace asimt::isa {
@@ -19,26 +21,159 @@ std::uint32_t Program::symbol(const std::string& label) const {
 
 namespace {
 
-struct Statement {
-  int line = 0;
-  std::string mnemonic;               // lower-case, empty for directives-only
-  std::vector<std::string> operands;  // comma-separated, trimmed
-};
-
-std::string trim(const std::string& s) {
-  std::size_t a = 0, b = s.size();
-  while (a < b && std::isspace(static_cast<unsigned char>(s[a]))) ++a;
-  while (b > a && std::isspace(static_cast<unsigned char>(s[b - 1]))) --b;
-  return s.substr(a, b - a);
-}
-
-std::string lower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)); }
 
 bool is_label_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
+}
+
+char to_lower(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+}
+
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
+  return s;
+}
+
+// Lower-case copy, for diagnostics that quote a mnemonic.
+std::string lower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) c = to_lower(c);
+  return out;
+}
+
+// Directive names are compared case-insensitively.
+enum class Directive { kNone, kText, kData, kWord, kFloat, kSpace, kAlign, kGlobl };
+
+constexpr std::pair<std::string_view, Directive> kDirectives[] = {
+    {".text", Directive::kText},   {".data", Directive::kData},
+    {".word", Directive::kWord},   {".float", Directive::kFloat},
+    {".space", Directive::kSpace}, {".align", Directive::kAlign},
+    {".globl", Directive::kGlobl}, {".global", Directive::kGlobl},
+};
+
+// Pseudo-instructions: each row's expansion lives in Assembler::emit_pseudo,
+// and `words` is what the layout pass reserves for it (0: sized by li's
+// literal).
+enum class Pseudo {
+  kNop, kMove, kLi, kLa, kLiS, kB, kBeqz, kBnez,
+  kBlt, kBge, kBgt, kBle, kMul, kNeg, kNot, kSubi,
+};
+
+struct PseudoInfo {
+  std::string_view name;
+  Pseudo pseudo;
+  int words;
+};
+
+constexpr PseudoInfo kPseudos[] = {
+    {"nop", Pseudo::kNop, 1},   {"move", Pseudo::kMove, 1},
+    {"li", Pseudo::kLi, 0},     {"la", Pseudo::kLa, 2},
+    {"li.s", Pseudo::kLiS, 2},  {"b", Pseudo::kB, 1},
+    {"beqz", Pseudo::kBeqz, 1}, {"bnez", Pseudo::kBnez, 1},
+    {"blt", Pseudo::kBlt, 2},   {"bge", Pseudo::kBge, 2},
+    {"bgt", Pseudo::kBgt, 2},   {"ble", Pseudo::kBle, 2},
+    {"mul", Pseudo::kMul, 2},   {"neg", Pseudo::kNeg, 1},
+    {"not", Pseudo::kNot, 1},   {"subi", Pseudo::kSubi, 1},
+};
+
+// One source statement. Every view points into the source text.
+struct Statement {
+  int line = 0;
+  std::string_view mnemonic;      // as written
+  std::string_view operand_text;  // everything after the mnemonic, trimmed
+  std::array<std::string_view, 3> op{};  // the first three operands
+  std::size_t count = 0;                 // how many operands there are
+
+  // What the mnemonic names; at most one of these is set.
+  Directive directive = Directive::kNone;
+  const OpInfo* info = nullptr;
+  const PseudoInfo* pseudo = nullptr;
+};
+
+// Calls fn on each operand of `text`: split at commas outside parentheses,
+// trimmed.
+template <typename F>
+void for_each_operand(std::string_view text, F&& fn) {
+  if (text.empty()) return;
+  std::size_t start = 0;
+  int depth = 0;
+  for (std::size_t j = 0; j <= text.size(); ++j) {
+    if (j == text.size() || (text[j] == ',' && depth == 0)) {
+      fn(trim(text.substr(start, j - start)));
+      start = j + 1;
+    } else if (text[j] == '(') {
+      ++depth;
+    } else if (text[j] == ')') {
+      --depth;
+    }
+  }
+}
+
+// Resolves what `s.mnemonic` names. No table name is longer than the
+// buffer, so a longer mnemonic names nothing.
+void classify(Statement& s) {
+  std::array<char, 16> buf{};
+  if (s.mnemonic.size() > buf.size()) return;
+  for (std::size_t i = 0; i < s.mnemonic.size(); ++i) buf[i] = to_lower(s.mnemonic[i]);
+  const std::string_view m(buf.data(), s.mnemonic.size());
+  if (m.front() == '.') {
+    for (const auto& [name, directive] : kDirectives) {
+      if (name == m) s.directive = directive;
+    }
+    return;
+  }
+  if ((s.info = find_mnemonic(m)) != nullptr) return;
+  for (const PseudoInfo& p : kPseudos) {
+    if (p.name == m) s.pseudo = &p;
+  }
+}
+
+// Calls on_label for each label and on_statement for each statement of
+// `source`, in order.
+template <typename OnLabel, typename OnStatement>
+void for_each_line(std::string_view source, OnLabel&& on_label,
+                   OnStatement&& on_statement) {
+  int number = 0;
+  std::size_t pos = 0;
+  while (pos <= source.size()) {
+    const std::size_t eol = source.find('\n', pos);
+    std::string_view rest = source.substr(
+        pos, eol == std::string_view::npos ? std::string_view::npos : eol - pos);
+    ++number;
+    rest = trim(rest.substr(0, rest.find_first_of("#;")));
+    while (true) {
+      std::size_t i = 0;
+      while (i < rest.size() && is_label_char(rest[i])) ++i;
+      if (i == 0 || i >= rest.size() || rest[i] != ':') break;
+      on_label(number, rest.substr(0, i));
+      rest = trim(rest.substr(i + 1));
+    }
+    if (!rest.empty()) {
+      std::size_t i = 0;
+      while (i < rest.size() && !is_space(rest[i])) ++i;
+      Statement s;
+      s.line = number;
+      s.mnemonic = rest.substr(0, i);
+      s.operand_text = trim(rest.substr(i));
+      for_each_operand(s.operand_text, [&](std::string_view operand) {
+        if (s.count < s.op.size()) s.op[s.count] = operand;
+        ++s.count;
+      });
+      classify(s);
+      on_statement(s);
+    }
+    if (eol == std::string_view::npos) break;
+    pos = eol + 1;
+  }
+}
+
+// `pc` rounded up to a multiple of 2^exponent.
+std::uint64_t align_up(std::uint64_t pc, std::int64_t exponent) {
+  const std::uint64_t align = std::uint64_t{1} << exponent;
+  return (pc + align - 1) & ~(align - 1);
 }
 
 class Assembler {
@@ -49,85 +184,16 @@ class Assembler {
   }
 
   Program run(std::string_view source) {
-    parse(source);
-    layout_pass();
-    emit_pass();
+    layout_pass(source);
+    emit_pass(source);
     return std::move(program_);
   }
 
  private:
   enum class Section { kText, kData };
 
-  struct Line {
-    int number = 0;
-    std::vector<std::string> labels;
-    Statement stmt;  // mnemonic may be a directive (starts with '.')
-    bool has_stmt = false;
-  };
-
-  [[noreturn]] void fail(int line, const std::string& msg) const {
+  [[noreturn]] static void fail(int line, const std::string& msg) {
     throw AssemblyError(line, msg);
-  }
-
-  // ---- parsing ---------------------------------------------------------
-
-  void parse(std::string_view source) {
-    int number = 0;
-    std::size_t pos = 0;
-    while (pos <= source.size()) {
-      const std::size_t eol = source.find('\n', pos);
-      std::string raw(source.substr(
-          pos, eol == std::string_view::npos ? std::string_view::npos
-                                             : eol - pos));
-      ++number;
-      parse_line(number, raw);
-      if (eol == std::string_view::npos) break;
-      pos = eol + 1;
-    }
-  }
-
-  void parse_line(int number, std::string raw) {
-    // Strip comments.
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      if (raw[i] == '#' || raw[i] == ';') {
-        raw.resize(i);
-        break;
-      }
-    }
-    Line line;
-    line.number = number;
-    std::string rest = trim(raw);
-    // Leading labels.
-    while (true) {
-      std::size_t i = 0;
-      while (i < rest.size() && is_label_char(rest[i])) ++i;
-      if (i == 0 || i >= rest.size() || rest[i] != ':') break;
-      line.labels.push_back(rest.substr(0, i));
-      rest = trim(rest.substr(i + 1));
-    }
-    if (!rest.empty()) {
-      std::size_t i = 0;
-      while (i < rest.size() && !std::isspace(static_cast<unsigned char>(rest[i]))) ++i;
-      line.stmt.line = number;
-      line.stmt.mnemonic = lower(rest.substr(0, i));
-      std::string ops = trim(rest.substr(i));
-      if (!ops.empty()) {
-        std::size_t start = 0;
-        int depth = 0;
-        for (std::size_t j = 0; j <= ops.size(); ++j) {
-          if (j == ops.size() || (ops[j] == ',' && depth == 0)) {
-            line.stmt.operands.push_back(trim(ops.substr(start, j - start)));
-            start = j + 1;
-          } else if (ops[j] == '(') {
-            ++depth;
-          } else if (ops[j] == ')') {
-            --depth;
-          }
-        }
-      }
-      line.has_stmt = true;
-    }
-    if (!line.labels.empty() || line.has_stmt) lines_.push_back(std::move(line));
   }
 
   // ---- pass 1: layout ----------------------------------------------------
@@ -138,109 +204,138 @@ class Assembler {
     return 2;                                 // lui + ori
   }
 
-  void layout_pass() {
-    Section section = Section::kText;
-    std::uint32_t text_pc = options_.text_base;
-    std::uint32_t data_pc = options_.data_base;
-    for (const Line& line : lines_) {
-      std::uint32_t& pc = section == Section::kText ? text_pc : data_pc;
-      for (const std::string& label : line.labels) {
-        if (program_.symbols.count(label)) {
-          fail(line.number, "duplicate label: " + label);
-        }
-        program_.symbols[label] = pc;
-      }
-      if (!line.has_stmt) continue;
-      const Statement& s = line.stmt;
-      if (s.mnemonic == ".text") {
-        section = Section::kText;
-        if (!s.operands.empty()) {
-          fail(line.number, ".text with explicit address is unsupported");
-        }
-      } else if (s.mnemonic == ".data") {
-        section = Section::kData;
-        if (!s.operands.empty()) {
-          fail(line.number, ".data with explicit address is unsupported");
-        }
-      } else if (s.mnemonic == ".word" || s.mnemonic == ".float") {
-        if (section != Section::kData) fail(line.number, "data directive outside .data");
-        data_pc += 4 * static_cast<std::uint32_t>(s.operands.size());
-      } else if (s.mnemonic == ".space") {
-        if (section != Section::kData) fail(line.number, ".space outside .data");
-        data_pc += static_cast<std::uint32_t>(parse_integer(line.number, s.operands.at(0)));
-      } else if (s.mnemonic == ".align") {
-        const auto n = static_cast<std::uint32_t>(parse_integer(line.number, s.operands.at(0)));
-        const std::uint32_t align = 1u << n;
-        std::uint32_t& p = section == Section::kText ? text_pc : data_pc;
-        p = (p + align - 1) & ~(align - 1);
-      } else if (s.mnemonic == ".globl" || s.mnemonic == ".global") {
-        // accepted and ignored
-      } else if (s.mnemonic[0] == '.') {
-        fail(line.number, "unknown directive: " + s.mnemonic);
-      } else {
-        if (section != Section::kText) fail(line.number, "instruction outside .text");
-        text_pc += 4 * static_cast<std::uint32_t>(instruction_words_pass1(s));
-      }
-    }
+  // Text words the statement occupies; literals of size-variable pseudos
+  // must be plain integers. Unknown mnemonics count one word and are
+  // reported by the emission pass.
+  int words(const Statement& s) const {
+    if (s.pseudo == nullptr) return 1;
+    if (s.pseudo->pseudo != Pseudo::kLi) return s.pseudo->words;
+    if (s.count != 2) fail(s.line, "li needs 2 operands");
+    return li_words(parse_integer(s.line, s.op[1]));
   }
 
-  // Pass-1 sizing; immediates must be literal for size-variable pseudos.
-  int instruction_words_pass1(const Statement& s) const {
-    const std::string& m = s.mnemonic;
-    if (m == "li") {
-      if (s.operands.size() != 2) fail(s.line, "li needs 2 operands");
-      return li_words(parse_integer(s.line, s.operands[1]));
+  std::int64_t space_bytes(const Statement& s) const {
+    expect_operands(s, 1);
+    const std::int64_t n = parse_integer(s.line, s.op[0]);
+    if (n < 0) fail(s.line, "negative .space size: " + std::string(s.op[0]));
+    return n;
+  }
+
+  std::int64_t align_exponent(const Statement& s) const {
+    expect_operands(s, 1);
+    const std::int64_t n = parse_integer(s.line, s.op[0]);
+    if (n < 0 || n > kMaxAlignExponent) {
+      fail(s.line, ".align exponent out of range 0.." +
+                       std::to_string(kMaxAlignExponent) + ": " + std::string(s.op[0]));
     }
-    if (m == "la" || m == "li.s" || m == "mul" || m == "blt" || m == "bgt" ||
-        m == "ble" || m == "bge") {
-      return 2;
-    }
-    return 1;
+    return n;
+  }
+
+  void layout_pass(std::string_view source) {
+    Section section = Section::kText;
+    std::uint64_t text_pc = options_.text_base;
+    std::uint64_t data_pc = options_.data_base;
+    auto on_label = [&](int line, std::string_view label) {
+      const std::uint64_t pc = section == Section::kText ? text_pc : data_pc;
+      if (!program_.symbols.emplace(label, static_cast<std::uint32_t>(pc)).second) {
+        fail(line, "duplicate label: " + std::string(label));
+      }
+    };
+    auto on_statement = [&](const Statement& s) {
+      switch (s.directive) {
+        case Directive::kText:
+        case Directive::kData:
+          section = s.directive == Directive::kText ? Section::kText : Section::kData;
+          if (s.count != 0) {
+            fail(s.line, lower(s.mnemonic) + " with explicit address is unsupported");
+          }
+          break;
+        case Directive::kWord:
+        case Directive::kFloat:
+          if (section != Section::kData) fail(s.line, "data directive outside .data");
+          data_pc += 4 * s.count;
+          break;
+        case Directive::kSpace:
+          if (section != Section::kData) fail(s.line, ".space outside .data");
+          data_pc += static_cast<std::uint64_t>(space_bytes(s));
+          break;
+        case Directive::kAlign: {
+          std::uint64_t& pc = section == Section::kText ? text_pc : data_pc;
+          pc += padding(pc, align_exponent(s), section);
+          break;
+        }
+        case Directive::kGlobl:
+          break;  // accepted and ignored
+        case Directive::kNone:
+          if (s.mnemonic.front() == '.') {
+            fail(s.line, "unknown directive: " + lower(s.mnemonic));
+          }
+          if (section != Section::kText) fail(s.line, "instruction outside .text");
+          text_pc += 4 * static_cast<std::uint64_t>(words(s));
+          break;
+      }
+      if (text_pc - options_.text_base > kMaxImageBytes ||
+          data_pc - options_.data_base > kMaxImageBytes) {
+        fail(s.line, "image larger than " + std::to_string(kMaxImageBytes) + " bytes");
+      }
+    };
+    for_each_line(source, on_label, on_statement);
+    program_.text.reserve((text_pc - options_.text_base) / 4);
+    program_.data.reserve(data_pc - options_.data_base);
+  }
+
+  // Bytes that align `pc` to 2^exponent; whole nop words in text.
+  static std::uint64_t padding(std::uint64_t pc, std::int64_t exponent, Section section) {
+    const std::uint64_t bytes = align_up(pc, exponent) - pc;
+    return section == Section::kText ? (bytes + 3) / 4 * 4 : bytes;
   }
 
   // ---- pass 2: emission --------------------------------------------------
 
-  void emit_pass() {
+  void emit_pass(std::string_view source) {
     Section section = Section::kText;
-    for (const Line& line : lines_) {
-      if (!line.has_stmt) continue;
-      const Statement& s = line.stmt;
-      if (s.mnemonic == ".text") {
-        section = Section::kText;
-      } else if (s.mnemonic == ".data") {
-        section = Section::kData;
-      } else if (s.mnemonic == ".word") {
-        for (const std::string& op : s.operands) {
-          emit_data_word(static_cast<std::uint32_t>(parse_value(line.number, op)));
+    auto on_statement = [&](const Statement& s) {
+      switch (s.directive) {
+        case Directive::kText: section = Section::kText; break;
+        case Directive::kData: section = Section::kData; break;
+        case Directive::kWord:
+          for_each_operand(s.operand_text, [&](std::string_view op) {
+            emit_data_word(static_cast<std::uint32_t>(parse_value(s.line, op)));
+          });
+          break;
+        case Directive::kFloat:
+          for_each_operand(s.operand_text, [&](std::string_view op) {
+            emit_data_word(std::bit_cast<std::uint32_t>(parse_float(s.line, op)));
+          });
+          break;
+        case Directive::kSpace:
+          program_.data.resize(program_.data.size() + space_bytes(s));
+          break;
+        case Directive::kAlign:
+          if (section == Section::kData) {
+            const std::uint64_t pc = program_.data_base + program_.data.size();
+            program_.data.resize(program_.data.size() + padding(pc, align_exponent(s), section));
+          } else {
+            program_.text.resize(program_.text.size() +
+                                 padding(here(), align_exponent(s), section) / 4);
+          }
+          break;
+        case Directive::kGlobl: break;
+        case Directive::kNone: {
+          const std::size_t before = program_.text.size();
+          emit_statement(s);
+          if (program_.text.size() - before != static_cast<std::size_t>(words(s))) {
+            throw std::logic_error("assembler: line " + std::to_string(s.line) +
+                                   " emitted a different size than laid out");
+          }
+          break;
         }
-      } else if (s.mnemonic == ".float") {
-        for (const std::string& op : s.operands) {
-          emit_data_word(std::bit_cast<std::uint32_t>(parse_float(line.number, op)));
-        }
-      } else if (s.mnemonic == ".space") {
-        const auto n = static_cast<std::size_t>(parse_integer(line.number, s.operands.at(0)));
-        program_.data.insert(program_.data.end(), n, 0);
-      } else if (s.mnemonic == ".align") {
-        const auto n = static_cast<std::uint32_t>(parse_integer(line.number, s.operands.at(0)));
-        const std::uint32_t align = 1u << n;
-        if (section == Section::kData) {
-          while (program_.data.size() % align) program_.data.push_back(0);
-        } else {
-          while ((program_.text.size() * 4) % align) emit(nop_word());
-        }
-      } else if (s.mnemonic == ".globl" || s.mnemonic == ".global") {
-        // ignored
-      } else {
-        emit_instruction(s);
       }
-    }
+    };
+    for_each_line(source, [](int, std::string_view) {}, on_statement);
   }
 
-  static std::uint32_t nop_word() { return 0; }
-
-  void emit(std::uint32_t word) { program_.text.push_back(word); }
-
-  void emit(const Instruction& inst) { emit(encode(inst)); }
+  void emit(const Instruction& inst) { program_.text.push_back(encode(inst)); }
 
   void emit_data_word(std::uint32_t v) {
     program_.data.push_back(static_cast<std::uint8_t>(v));
@@ -259,79 +354,79 @@ class Assembler {
   // the same prefixes but saturate out-of-range literals silently (LLONG_MAX
   // / +-inf), which then truncate into instruction words with no diagnostic;
   // here an overflowing literal is an AssemblyError like any other typo.
-  std::int64_t parse_integer(int line, const std::string& text) const {
-    const std::string t = trim(text);
+  static std::int64_t parse_integer(int line, std::string_view text) {
+    const std::string_view t = trim(text);
     if (t.empty()) fail(line, "empty integer operand");
     const std::optional<long long> v = util::parse_integer_literal(t);
-    if (!v) fail(line, "bad integer (junk or out of 64-bit range): " + t);
+    if (!v) fail(line, "bad integer (junk or out of 64-bit range): " + std::string(t));
     return *v;
   }
 
-  float parse_float(int line, const std::string& text) const {
-    const std::string t = trim(text);
+  static float parse_float(int line, std::string_view text) {
+    const std::string_view t = trim(text);
     if (t.empty()) fail(line, "empty float operand");
     const std::optional<float> v = util::parse_float_literal(t);
-    if (!v) fail(line, "bad float (junk or out of single-precision range): " + t);
+    if (!v) {
+      fail(line, "bad float (junk or out of single-precision range): " + std::string(t));
+    }
     return *v;
   }
 
   // Integer literal, label address, or %hi/%lo of a label.
-  std::int64_t parse_value(int line, const std::string& text) const {
-    const std::string t = trim(text);
+  std::int64_t parse_value(int line, std::string_view text) const {
+    const std::string_view t = trim(text);
     if (t.empty()) fail(line, "empty operand");
-    if (t.rfind("%hi(", 0) == 0 && t.back() == ')') {
-      return (resolve_label(line, t.substr(4, t.size() - 5)) >> 16) & 0xFFFF;
+    if ((t.starts_with("%hi(") || t.starts_with("%lo(")) && t.back() == ')') {
+      const std::uint32_t addr = resolve_label(line, t.substr(4, t.size() - 5));
+      return t[1] == 'h' ? (addr >> 16) & 0xFFFF : addr & 0xFFFF;
     }
-    if (t.rfind("%lo(", 0) == 0 && t.back() == ')') {
-      return resolve_label(line, t.substr(4, t.size() - 5)) & 0xFFFF;
-    }
-    if (std::isdigit(static_cast<unsigned char>(t[0])) || t[0] == '-' || t[0] == '+') {
+    if ((t[0] >= '0' && t[0] <= '9') || t[0] == '-' || t[0] == '+') {
       return parse_integer(line, t);
     }
     return resolve_label(line, t);
   }
 
-  std::uint32_t resolve_label(int line, const std::string& name) const {
-    auto it = program_.symbols.find(trim(name));
-    if (it == program_.symbols.end()) fail(line, "undefined label: " + name);
+  std::uint32_t resolve_label(int line, std::string_view name) const {
+    auto it = program_.symbols.find(std::string(trim(name)));
+    if (it == program_.symbols.end()) fail(line, "undefined label: " + std::string(name));
     return it->second;
   }
 
-  unsigned reg_operand(int line, const std::string& text) const {
-    auto r = parse_reg(trim(text));
-    if (!r) fail(line, "expected integer register, got: " + text);
-    return *r;
+  static std::uint8_t reg_operand(int line, std::string_view text) {
+    const auto r = parse_reg(trim(text));
+    if (!r) fail(line, "expected integer register, got: " + std::string(text));
+    return static_cast<std::uint8_t>(*r);
   }
 
-  unsigned freg_operand(int line, const std::string& text) const {
-    auto r = parse_freg(trim(text));
-    if (!r) fail(line, "expected FP register, got: " + text);
-    return *r;
+  static std::uint8_t freg_operand(int line, std::string_view text) {
+    const auto r = parse_freg(trim(text));
+    if (!r) fail(line, "expected FP register, got: " + std::string(text));
+    return static_cast<std::uint8_t>(*r);
   }
 
-  // off($reg): returns {offset, base register}.
-  std::pair<std::int32_t, unsigned> mem_operand(int line, const std::string& text) const {
-    const std::string t = trim(text);
+  // off($reg): sets the offset and the base register.
+  void mem_operand(int line, std::string_view text, Instruction& inst) const {
+    const std::string_view t = trim(text);
     const std::size_t open = t.find('(');
-    if (open == std::string::npos || t.back() != ')') {
-      fail(line, "expected mem operand off($reg), got: " + text);
+    if (open == std::string_view::npos || t.back() != ')') {
+      fail(line, "expected mem operand off($reg), got: " + std::string(text));
     }
-    const std::string off = trim(t.substr(0, open));
-    const std::string base = t.substr(open + 1, t.size() - open - 2);
-    std::int64_t offset = off.empty() ? 0 : parse_value(line, off);
+    const std::string_view off = trim(t.substr(0, open));
+    const std::int64_t offset = off.empty() ? 0 : parse_value(line, off);
     if (offset < -32768 || offset > 32767) fail(line, "mem offset out of range");
-    return {static_cast<std::int32_t>(offset), reg_operand(line, base)};
+    inst.imm = static_cast<std::int32_t>(offset);
+    inst.rs = reg_operand(line, t.substr(open + 1, t.size() - open - 2));
   }
 
-  std::int32_t imm16_operand(int line, const std::string& text, bool zero_ext) const {
+  std::int32_t imm16_operand(int line, std::string_view text, bool zero_ext) const {
     const std::int64_t v = parse_value(line, text);
     if (zero_ext ? (v < 0 || v > 65535) : (v < -32768 || v > 65535)) {
-      fail(line, "immediate out of 16-bit range: " + text);
+      fail(line, "immediate out of 16-bit range: " + std::string(text));
     }
     return static_cast<std::int32_t>(v);
   }
 
-  std::int32_t branch_offset(int line, const std::string& label_text) const {
+  std::int32_t branch_offset(int line, std::string_view label_text) const {
     const std::uint32_t target = static_cast<std::uint32_t>(parse_value(line, label_text));
     const std::int64_t delta =
         (static_cast<std::int64_t>(target) - (static_cast<std::int64_t>(here()) + 4)) >> 2;
@@ -339,438 +434,174 @@ class Assembler {
     return static_cast<std::int32_t>(delta);
   }
 
+  // Parses `text` as operand `arg` of `inst`.
+  void set_operand(Instruction& inst, Arg arg, int line, std::string_view text) const {
+    switch (arg) {
+      case Arg::kRd: case Arg::kRdLink: inst.rd = reg_operand(line, text); break;
+      case Arg::kRs: inst.rs = reg_operand(line, text); break;
+      case Arg::kRt: inst.rt = reg_operand(line, text); break;
+      case Arg::kFd: inst.fd = freg_operand(line, text); break;
+      case Arg::kFs: inst.fs = freg_operand(line, text); break;
+      case Arg::kFt: inst.ft = freg_operand(line, text); break;
+      case Arg::kShamt: {
+        const std::int64_t sh = parse_integer(line, text);
+        if (sh < 0 || sh > 31) fail(line, "shift amount out of range");
+        inst.shamt = static_cast<std::uint8_t>(sh);
+        break;
+      }
+      case Arg::kSImm: inst.imm = imm16_operand(line, text, false); break;
+      case Arg::kZImm: case Arg::kUImm: inst.imm = imm16_operand(line, text, true); break;
+      case Arg::kMem: mem_operand(line, text, inst); break;
+      case Arg::kBranch: inst.imm = branch_offset(line, text); break;
+      case Arg::kJump:
+        inst.target = (static_cast<std::uint32_t>(parse_value(line, text)) >> 2) & 0x03FFFFFFu;
+        break;
+      case Arg::kNone: break;
+    }
+  }
+
   // ---- instruction emission ------------------------------------------------
 
-  void expect_operands(const Statement& s, std::size_t n) const {
-    if (s.operands.size() != n) {
-      fail(s.line, s.mnemonic + " expects " + std::to_string(n) + " operands");
+  static void expect_operands(const Statement& s, std::size_t n) {
+    if (s.count != n) {
+      fail(s.line, lower(s.mnemonic) + " expects " + std::to_string(n) + " operands");
     }
   }
 
-  void emit_r3(const Statement& s, Op op) {
-    expect_operands(s, 3);
-    Instruction i;
-    i.op = op;
-    i.rd = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-    i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-    i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[2]));
-    emit(i);
+  void emit_statement(const Statement& s) {
+    if (s.info != nullptr) return emit_table_instruction(s, *s.info);
+    if (s.pseudo != nullptr) return emit_pseudo(s, s.pseudo->pseudo);
+    fail(s.line, "unknown mnemonic: " + lower(s.mnemonic));
   }
 
-  void emit_shift(const Statement& s, Op op) {
-    expect_operands(s, 3);
-    Instruction i;
-    i.op = op;
-    i.rd = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-    i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-    const std::int64_t sh = parse_integer(s.line, s.operands[2]);
-    if (sh < 0 || sh > 31) fail(s.line, "shift amount out of range");
-    i.shamt = static_cast<std::uint8_t>(sh);
-    emit(i);
-  }
-
-  void emit_shiftv(const Statement& s, Op op) {
-    expect_operands(s, 3);
-    Instruction i;
-    i.op = op;
-    i.rd = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-    i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-    i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[2]));
-    emit(i);
-  }
-
-  void emit_imm(const Statement& s, Op op, bool zero_ext) {
-    expect_operands(s, 3);
-    Instruction i;
-    i.op = op;
-    i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-    i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-    i.imm = imm16_operand(s.line, s.operands[2], zero_ext);
-    emit(i);
-  }
-
-  void emit_mem(const Statement& s, Op op, bool fp) {
-    expect_operands(s, 2);
-    Instruction i;
-    i.op = op;
-    if (fp) {
-      i.ft = static_cast<std::uint8_t>(freg_operand(s.line, s.operands[0]));
-    } else {
-      i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
+  // Operands in the row's order. An instruction without operands ignores
+  // any it is given; jalr's link register may be left out.
+  void emit_table_instruction(const Statement& s, const OpInfo& info) {
+    Instruction inst;
+    inst.op = info.op;
+    const std::size_t n = info.arg_count();
+    std::size_t skipped = 0;
+    if (info.args[0] == Arg::kRdLink && s.count == 1) {
+      inst.rd = kRa;
+      skipped = 1;
+    } else if (n > 0) {
+      expect_operands(s, n);
     }
-    const auto [offset, base] = mem_operand(s.line, s.operands[1]);
-    i.imm = offset;
-    i.rs = static_cast<std::uint8_t>(base);
-    emit(i);
+    for (std::size_t a = skipped; a < n; ++a) {
+      set_operand(inst, info.args[a], s.line, s.op[a - skipped]);
+    }
+    emit(inst);
   }
 
-  void emit_f3(const Statement& s, Op op) {
-    expect_operands(s, 3);
+  static Instruction make(Op op, unsigned rd, unsigned rs, unsigned rt, std::int32_t imm = 0) {
     Instruction i;
     i.op = op;
-    i.fd = static_cast<std::uint8_t>(freg_operand(s.line, s.operands[0]));
-    i.fs = static_cast<std::uint8_t>(freg_operand(s.line, s.operands[1]));
-    i.ft = static_cast<std::uint8_t>(freg_operand(s.line, s.operands[2]));
-    emit(i);
+    i.rd = static_cast<std::uint8_t>(rd);
+    i.rs = static_cast<std::uint8_t>(rs);
+    i.rt = static_cast<std::uint8_t>(rt);
+    i.imm = imm;
+    return i;
   }
 
-  void emit_f2(const Statement& s, Op op) {
-    expect_operands(s, 2);
-    Instruction i;
-    i.op = op;
-    i.fd = static_cast<std::uint8_t>(freg_operand(s.line, s.operands[0]));
-    i.fs = static_cast<std::uint8_t>(freg_operand(s.line, s.operands[1]));
-    emit(i);
+  // lui r, hi ; ori r, r, lo
+  void emit_lui_ori(unsigned r, std::uint32_t value) {
+    emit(make(Op::kLui, 0, 0, r, static_cast<std::int32_t>(value >> 16)));
+    emit(make(Op::kOri, 0, r, r, static_cast<std::int32_t>(value & 0xFFFFu)));
   }
 
-  void emit_fcmp(const Statement& s, Op op) {
-    expect_operands(s, 2);
-    Instruction i;
-    i.op = op;
-    i.fs = static_cast<std::uint8_t>(freg_operand(s.line, s.operands[0]));
-    i.ft = static_cast<std::uint8_t>(freg_operand(s.line, s.operands[1]));
-    emit(i);
-  }
-
-  void emit_branch2(const Statement& s, Op op) {
-    expect_operands(s, 3);
-    Instruction i;
-    i.op = op;
-    i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-    i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-    i.imm = branch_offset(s.line, s.operands[2]);
-    emit(i);
-  }
-
-  void emit_branch1(const Statement& s, Op op) {
-    expect_operands(s, 2);
-    Instruction i;
-    i.op = op;
-    i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-    i.imm = branch_offset(s.line, s.operands[1]);
-    emit(i);
-  }
-
-  void emit_li(int line, unsigned rd, std::int64_t v) {
-    Instruction i;
-    if (v >= -32768 && v <= 32767) {
-      i.op = Op::kAddiu;
-      i.rt = static_cast<std::uint8_t>(rd);
-      i.rs = 0;
-      i.imm = static_cast<std::int32_t>(v);
-      emit(i);
-    } else if (v >= 0 && v <= 65535) {
-      i.op = Op::kOri;
-      i.rt = static_cast<std::uint8_t>(rd);
-      i.rs = 0;
-      i.imm = static_cast<std::int32_t>(v);
-      emit(i);
-    } else {
-      const auto u = static_cast<std::uint32_t>(v);
-      i.op = Op::kLui;
-      i.rt = static_cast<std::uint8_t>(rd);
-      i.imm = static_cast<std::int32_t>(u >> 16);
-      emit(i);
-      Instruction j;
-      j.op = Op::kOri;
-      j.rt = static_cast<std::uint8_t>(rd);
-      j.rs = static_cast<std::uint8_t>(rd);
-      j.imm = static_cast<std::int32_t>(u & 0xFFFFu);
-      emit(j);
-    }
-    (void)line;
-  }
-
-  // Compare-and-branch pseudos: slt $at, a, b (or swapped) + beq/bne.
-  void emit_cmp_branch(const Statement& s, bool swap, bool branch_on_set) {
-    expect_operands(s, 3);
-    const unsigned a = reg_operand(s.line, s.operands[0]);
-    const unsigned b = reg_operand(s.line, s.operands[1]);
-    Instruction slt;
-    slt.op = Op::kSlt;
-    slt.rd = kAt;
-    slt.rs = static_cast<std::uint8_t>(swap ? b : a);
-    slt.rt = static_cast<std::uint8_t>(swap ? a : b);
-    emit(slt);
-    Instruction br;
-    br.op = branch_on_set ? Op::kBne : Op::kBeq;
-    br.rs = kAt;
-    br.rt = 0;
-    br.imm = branch_offset(s.line, s.operands[2]);
-    emit(br);
-  }
-
-  void emit_instruction(const Statement& s) {
-    const std::string& m = s.mnemonic;
-    // R-type ALU.
-    if (m == "add") return emit_r3(s, Op::kAdd);
-    if (m == "addu") return emit_r3(s, Op::kAddu);
-    if (m == "sub") return emit_r3(s, Op::kSub);
-    if (m == "subu") return emit_r3(s, Op::kSubu);
-    if (m == "and") return emit_r3(s, Op::kAnd);
-    if (m == "or") return emit_r3(s, Op::kOr);
-    if (m == "xor") return emit_r3(s, Op::kXor);
-    if (m == "nor") return emit_r3(s, Op::kNor);
-    if (m == "slt") return emit_r3(s, Op::kSlt);
-    if (m == "sltu") return emit_r3(s, Op::kSltu);
-    if (m == "sll") return emit_shift(s, Op::kSll);
-    if (m == "srl") return emit_shift(s, Op::kSrl);
-    if (m == "sra") return emit_shift(s, Op::kSra);
-    if (m == "sllv") return emit_shiftv(s, Op::kSllv);
-    if (m == "srlv") return emit_shiftv(s, Op::kSrlv);
-    if (m == "srav") return emit_shiftv(s, Op::kSrav);
-    // hi/lo.
-    if (m == "mult" || m == "multu" || m == "div" || m == "divu") {
-      expect_operands(s, 2);
-      Instruction i;
-      i.op = m == "mult" ? Op::kMult
-             : m == "multu" ? Op::kMultu
-             : m == "div" ? Op::kDiv
-                          : Op::kDivu;
-      i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-      return emit(i);
-    }
-    if (m == "mfhi" || m == "mflo") {
-      expect_operands(s, 1);
-      Instruction i;
-      i.op = m == "mfhi" ? Op::kMfhi : Op::kMflo;
-      i.rd = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      return emit(i);
-    }
-    if (m == "mthi" || m == "mtlo") {
-      expect_operands(s, 1);
-      Instruction i;
-      i.op = m == "mthi" ? Op::kMthi : Op::kMtlo;
-      i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      return emit(i);
-    }
-    // Immediates.
-    if (m == "addi") return emit_imm(s, Op::kAddi, false);
-    if (m == "addiu") return emit_imm(s, Op::kAddiu, false);
-    if (m == "slti") return emit_imm(s, Op::kSlti, false);
-    if (m == "sltiu") return emit_imm(s, Op::kSltiu, false);
-    if (m == "andi") return emit_imm(s, Op::kAndi, true);
-    if (m == "ori") return emit_imm(s, Op::kOri, true);
-    if (m == "xori") return emit_imm(s, Op::kXori, true);
-    if (m == "lui") {
-      expect_operands(s, 2);
-      Instruction i;
-      i.op = Op::kLui;
-      i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      i.imm = imm16_operand(s.line, s.operands[1], true);
-      return emit(i);
-    }
-    // Memory.
-    if (m == "lb") return emit_mem(s, Op::kLb, false);
-    if (m == "lh") return emit_mem(s, Op::kLh, false);
-    if (m == "lw") return emit_mem(s, Op::kLw, false);
-    if (m == "lbu") return emit_mem(s, Op::kLbu, false);
-    if (m == "lhu") return emit_mem(s, Op::kLhu, false);
-    if (m == "sb") return emit_mem(s, Op::kSb, false);
-    if (m == "sh") return emit_mem(s, Op::kSh, false);
-    if (m == "sw") return emit_mem(s, Op::kSw, false);
-    if (m == "lwc1" || m == "l.s") return emit_mem(s, Op::kLwc1, true);
-    if (m == "swc1" || m == "s.s") return emit_mem(s, Op::kSwc1, true);
-    // Branches and jumps.
-    if (m == "beq") return emit_branch2(s, Op::kBeq);
-    if (m == "bne") return emit_branch2(s, Op::kBne);
-    if (m == "blez") return emit_branch1(s, Op::kBlez);
-    if (m == "bgtz") return emit_branch1(s, Op::kBgtz);
-    if (m == "bltz") return emit_branch1(s, Op::kBltz);
-    if (m == "bgez") return emit_branch1(s, Op::kBgez);
-    if (m == "j" || m == "jal") {
-      expect_operands(s, 1);
-      Instruction i;
-      i.op = m == "j" ? Op::kJ : Op::kJal;
-      const std::uint32_t target = static_cast<std::uint32_t>(parse_value(s.line, s.operands[0]));
-      i.target = (target >> 2) & 0x03FFFFFFu;
-      return emit(i);
-    }
-    if (m == "jr") {
-      expect_operands(s, 1);
-      Instruction i;
-      i.op = Op::kJr;
-      i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      return emit(i);
-    }
-    if (m == "jalr") {
-      Instruction i;
-      i.op = Op::kJalr;
-      if (s.operands.size() == 1) {
-        i.rd = kRa;
-        i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      } else {
+  void emit_pseudo(const Statement& s, Pseudo pseudo) {
+    const int line = s.line;
+    switch (pseudo) {
+      case Pseudo::kNop:
+        expect_operands(s, 0);
+        return program_.text.push_back(0);
+      case Pseudo::kMove: {
         expect_operands(s, 2);
-        i.rd = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-        i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
+        const unsigned rd = reg_operand(line, s.op[0]);
+        return emit(make(Op::kAddu, rd, reg_operand(line, s.op[1]), 0));
       }
-      return emit(i);
-    }
-    // FP.
-    if (m == "add.s") return emit_f3(s, Op::kAddS);
-    if (m == "sub.s") return emit_f3(s, Op::kSubS);
-    if (m == "mul.s") return emit_f3(s, Op::kMulS);
-    if (m == "div.s") return emit_f3(s, Op::kDivS);
-    if (m == "sqrt.s") return emit_f2(s, Op::kSqrtS);
-    if (m == "abs.s") return emit_f2(s, Op::kAbsS);
-    if (m == "mov.s") return emit_f2(s, Op::kMovS);
-    if (m == "neg.s") return emit_f2(s, Op::kNegS);
-    if (m == "cvt.s.w") return emit_f2(s, Op::kCvtSW);
-    if (m == "trunc.w.s") return emit_f2(s, Op::kTruncWS);
-    if (m == "c.eq.s") return emit_fcmp(s, Op::kCEqS);
-    if (m == "c.lt.s") return emit_fcmp(s, Op::kCLtS);
-    if (m == "c.le.s") return emit_fcmp(s, Op::kCLeS);
-    if (m == "bc1f" || m == "bc1t") {
-      expect_operands(s, 1);
-      Instruction i;
-      i.op = m == "bc1t" ? Op::kBc1t : Op::kBc1f;
-      i.imm = branch_offset(s.line, s.operands[0]);
-      return emit(i);
-    }
-    if (m == "mfc1" || m == "mtc1") {
-      expect_operands(s, 2);
-      Instruction i;
-      i.op = m == "mfc1" ? Op::kMfc1 : Op::kMtc1;
-      i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      i.fs = static_cast<std::uint8_t>(freg_operand(s.line, s.operands[1]));
-      return emit(i);
-    }
-    // System.
-    if (m == "syscall") {
-      Instruction i;
-      i.op = Op::kSyscall;
-      return emit(i);
-    }
-    if (m == "break" || m == "halt") {
-      Instruction i;
-      i.op = Op::kBreak;
-      return emit(i);
-    }
-    // Pseudo-instructions.
-    if (m == "nop") {
-      expect_operands(s, 0);
-      return emit(nop_word());
-    }
-    if (m == "move") {
-      expect_operands(s, 2);
-      Instruction i;
-      i.op = Op::kAddu;
-      i.rd = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-      i.rt = 0;
-      return emit(i);
-    }
-    if (m == "li") {
-      expect_operands(s, 2);
-      return emit_li(s.line, reg_operand(s.line, s.operands[0]),
-                     parse_integer(s.line, s.operands[1]));
-    }
-    if (m == "la") {
-      expect_operands(s, 2);
-      const unsigned rd = reg_operand(s.line, s.operands[0]);
-      const auto addr = static_cast<std::uint32_t>(parse_value(s.line, s.operands[1]));
-      Instruction i;
-      i.op = Op::kLui;
-      i.rt = static_cast<std::uint8_t>(rd);
-      i.imm = static_cast<std::int32_t>(addr >> 16);
-      emit(i);
-      Instruction j;
-      j.op = Op::kOri;
-      j.rt = static_cast<std::uint8_t>(rd);
-      j.rs = static_cast<std::uint8_t>(rd);
-      j.imm = static_cast<std::int32_t>(addr & 0xFFFFu);
-      return emit(j);
-    }
-    if (m == "li.s") {
-      // Loads a float constant via $at: lui/ori + mtc1. Always two int
-      // instructions for stable pass-1 sizing (ori even when low bits are 0).
-      expect_operands(s, 2);
-      const unsigned fd = freg_operand(s.line, s.operands[0]);
-      const auto bitsv = std::bit_cast<std::uint32_t>(parse_float(s.line, s.operands[1]));
-      Instruction i;
-      i.op = Op::kLui;
-      i.rt = kAt;
-      i.imm = static_cast<std::int32_t>(bitsv >> 16);
-      emit(i);
-      // NOTE: pass-1 counts li.s as 2 words; keep emission at exactly 2.
-      if ((bitsv & 0xFFFFu) != 0) {
-        fail(s.line, "li.s constant needs nonzero low bits; use .float data");
+      case Pseudo::kLi: {
+        expect_operands(s, 2);
+        const unsigned rd = reg_operand(line, s.op[0]);
+        const std::int64_t v = parse_integer(line, s.op[1]);
+        if (v >= -32768 && v <= 32767) {
+          return emit(make(Op::kAddiu, 0, 0, rd, static_cast<std::int32_t>(v)));
+        }
+        if (v >= 0 && v <= 65535) {
+          return emit(make(Op::kOri, 0, 0, rd, static_cast<std::int32_t>(v)));
+        }
+        return emit_lui_ori(rd, static_cast<std::uint32_t>(v));
       }
-      Instruction k;
-      k.op = Op::kMtc1;
-      k.rt = kAt;
-      k.fs = static_cast<std::uint8_t>(fd);
-      return emit(k);
+      case Pseudo::kLa: {
+        expect_operands(s, 2);
+        const unsigned rd = reg_operand(line, s.op[0]);
+        return emit_lui_ori(rd, static_cast<std::uint32_t>(parse_value(line, s.op[1])));
+      }
+      case Pseudo::kLiS: {
+        // lui $at, hi ; mtc1 $at, fd — only constants whose low half is 0.
+        expect_operands(s, 2);
+        const std::uint8_t fd = freg_operand(line, s.op[0]);
+        const auto bits = std::bit_cast<std::uint32_t>(parse_float(line, s.op[1]));
+        if ((bits & 0xFFFFu) != 0) {
+          fail(line, "li.s constant needs nonzero low bits; use .float data");
+        }
+        emit(make(Op::kLui, 0, 0, kAt, static_cast<std::int32_t>(bits >> 16)));
+        Instruction mtc1 = make(Op::kMtc1, 0, 0, kAt);
+        mtc1.fs = fd;
+        return emit(mtc1);
+      }
+      case Pseudo::kB:
+        expect_operands(s, 1);
+        return emit(make(Op::kBeq, 0, 0, 0, branch_offset(line, s.op[0])));
+      case Pseudo::kBeqz:
+      case Pseudo::kBnez: {
+        expect_operands(s, 2);
+        const unsigned rs = reg_operand(line, s.op[0]);
+        return emit(make(pseudo == Pseudo::kBeqz ? Op::kBeq : Op::kBne, 0, rs, 0,
+                         branch_offset(line, s.op[1])));
+      }
+      case Pseudo::kBlt:  // slt $at, a, b ; bne
+      case Pseudo::kBge:  // slt $at, a, b ; beq
+      case Pseudo::kBgt:  // slt $at, b, a ; bne
+      case Pseudo::kBle: {  // slt $at, b, a ; beq
+        expect_operands(s, 3);
+        const unsigned a = reg_operand(line, s.op[0]);
+        const unsigned b = reg_operand(line, s.op[1]);
+        const bool swap = pseudo == Pseudo::kBgt || pseudo == Pseudo::kBle;
+        const bool on_set = pseudo == Pseudo::kBlt || pseudo == Pseudo::kBgt;
+        emit(make(Op::kSlt, kAt, swap ? b : a, swap ? a : b));
+        return emit(make(on_set ? Op::kBne : Op::kBeq, 0, kAt, 0,
+                         branch_offset(line, s.op[2])));
+      }
+      case Pseudo::kMul: {
+        expect_operands(s, 3);
+        const unsigned rs = reg_operand(line, s.op[1]);
+        emit(make(Op::kMult, 0, rs, reg_operand(line, s.op[2])));
+        return emit(make(Op::kMflo, reg_operand(line, s.op[0]), 0, 0));
+      }
+      case Pseudo::kNeg: {
+        expect_operands(s, 2);
+        const unsigned rd = reg_operand(line, s.op[0]);
+        return emit(make(Op::kSubu, rd, 0, reg_operand(line, s.op[1])));
+      }
+      case Pseudo::kNot: {
+        expect_operands(s, 2);
+        const unsigned rd = reg_operand(line, s.op[0]);
+        return emit(make(Op::kNor, rd, reg_operand(line, s.op[1]), 0));
+      }
+      case Pseudo::kSubi: {
+        expect_operands(s, 3);
+        const unsigned rt = reg_operand(line, s.op[0]);
+        const unsigned rs = reg_operand(line, s.op[1]);
+        const std::int64_t v = parse_integer(line, s.op[2]);
+        if (-v < -32768 || -v > 32767) fail(line, "subi immediate out of range");
+        return emit(make(Op::kAddiu, 0, rs, rt, static_cast<std::int32_t>(-v)));
+      }
     }
-    if (m == "b") {
-      expect_operands(s, 1);
-      Instruction i;
-      i.op = Op::kBeq;
-      i.rs = i.rt = 0;
-      i.imm = branch_offset(s.line, s.operands[0]);
-      return emit(i);
-    }
-    if (m == "beqz" || m == "bnez") {
-      expect_operands(s, 2);
-      Instruction i;
-      i.op = m == "beqz" ? Op::kBeq : Op::kBne;
-      i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      i.rt = 0;
-      i.imm = branch_offset(s.line, s.operands[1]);
-      return emit(i);
-    }
-    if (m == "blt") return emit_cmp_branch(s, false, true);   // slt a,b ; bne
-    if (m == "bge") return emit_cmp_branch(s, false, false);  // slt a,b ; beq
-    if (m == "bgt") return emit_cmp_branch(s, true, true);    // slt b,a ; bne
-    if (m == "ble") return emit_cmp_branch(s, true, false);   // slt b,a ; beq
-    if (m == "mul") {
-      expect_operands(s, 3);
-      Instruction i;
-      i.op = Op::kMult;
-      i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-      i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[2]));
-      emit(i);
-      Instruction j;
-      j.op = Op::kMflo;
-      j.rd = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      return emit(j);
-    }
-    if (m == "neg") {
-      expect_operands(s, 2);
-      Instruction i;
-      i.op = Op::kSubu;
-      i.rd = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      i.rs = 0;
-      i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-      return emit(i);
-    }
-    if (m == "not") {
-      expect_operands(s, 2);
-      Instruction i;
-      i.op = Op::kNor;
-      i.rd = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-      i.rt = 0;
-      return emit(i);
-    }
-    if (m == "subi") {
-      expect_operands(s, 3);
-      Instruction i;
-      i.op = Op::kAddiu;
-      i.rt = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[0]));
-      i.rs = static_cast<std::uint8_t>(reg_operand(s.line, s.operands[1]));
-      const std::int64_t v = parse_integer(s.line, s.operands[2]);
-      if (-v < -32768 || -v > 32767) fail(s.line, "subi immediate out of range");
-      i.imm = static_cast<std::int32_t>(-v);
-      return emit(i);
-    }
-    fail(s.line, "unknown mnemonic: " + m);
   }
 
   AssemblerOptions options_;
   Program program_;
-  std::vector<Line> lines_;
 };
 
 }  // namespace

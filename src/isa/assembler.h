@@ -9,13 +9,17 @@
 //   .data [addr]   switch to data section (default base 0x10000000)
 //   .word  v,...   32-bit values (numbers or labels)
 //   .float f,...   IEEE-754 single values
-//   .space n       n zero bytes
-//   .align n       pad to 2^n boundary
+//   .space n       n zero bytes (n >= 0)
+//   .align n       pad to 2^n boundary (0 <= n <= kMaxAlignExponent)
 //   label:         define a label in the current section
 //   # or ;         comment to end of line
 //
-// Pseudo-instructions: nop, halt (= break), move, li, la, li.s, b, beqz,
-// bnez, blt, bgt, ble, bge, mul, neg, not, subi.
+// Instructions are assembled from the opcode table (isa/opcodes.h).
+// Pseudo-instructions: nop, move, li, la, li.s, b, beqz, bnez, blt, bgt,
+// ble, bge, mul, neg, not, subi; `halt` is an alias of break.
+//
+// Neither image may exceed kMaxImageBytes; the layout pass checks this
+// before either image is allocated.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +46,9 @@ struct Program {
   // Address of `label`; throws std::out_of_range if undefined.
   std::uint32_t symbol(const std::string& label) const;
 };
+
+inline constexpr std::uint64_t kMaxImageBytes = 16u << 20;
+inline constexpr std::int64_t kMaxAlignExponent = 16;
 
 struct AssemblerOptions {
   std::uint32_t text_base = 0x00400000;

@@ -1,6 +1,7 @@
 #include <cstdio>
 
 #include "isa/isa.h"
+#include "isa/opcodes.h"
 
 namespace asimt::isa {
 
@@ -12,128 +13,38 @@ std::string hex(std::uint32_t v) {
   return buf;
 }
 
-std::string r3(const char* m, unsigned rd, unsigned rs, unsigned rt) {
-  return std::string(m) + " " + reg_name(rd) + ", " + reg_name(rs) + ", " +
-         reg_name(rt);
-}
-
-std::string shift(const char* m, unsigned rd, unsigned rt, unsigned sh) {
-  return std::string(m) + " " + reg_name(rd) + ", " + reg_name(rt) + ", " +
-         std::to_string(sh);
-}
-
-std::string imm2(const char* m, unsigned rt, unsigned rs, std::int32_t imm) {
-  return std::string(m) + " " + reg_name(rt) + ", " + reg_name(rs) + ", " +
-         std::to_string(imm);
-}
-
-std::string mem(const char* m, const std::string& rt, unsigned rs,
-                std::int32_t imm) {
-  return std::string(m) + " " + rt + ", " + std::to_string(imm) + "(" +
-         reg_name(rs) + ")";
-}
-
-std::string branch2(const char* m, unsigned rs, unsigned rt,
-                    std::uint32_t target) {
-  return std::string(m) + " " + reg_name(rs) + ", " + reg_name(rt) + ", " +
-         hex(target);
-}
-
-std::string branch1(const char* m, unsigned rs, std::uint32_t target) {
-  return std::string(m) + " " + reg_name(rs) + ", " + hex(target);
-}
-
-std::string f3(const char* m, unsigned fd, unsigned fs, unsigned ft) {
-  return std::string(m) + " " + freg_name(fd) + ", " + freg_name(fs) + ", " +
-         freg_name(ft);
-}
-
-std::string f2(const char* m, unsigned fd, unsigned fs) {
-  return std::string(m) + " " + freg_name(fd) + ", " + freg_name(fs);
+std::string operand_text(Arg arg, const Instruction& i, std::uint32_t pc) {
+  switch (arg) {
+    case Arg::kRd: case Arg::kRdLink: return reg_name(i.rd);
+    case Arg::kRs: return reg_name(i.rs);
+    case Arg::kRt: return reg_name(i.rt);
+    case Arg::kFd: return freg_name(i.fd);
+    case Arg::kFs: return freg_name(i.fs);
+    case Arg::kFt: return freg_name(i.ft);
+    case Arg::kShamt: return std::to_string(i.shamt);
+    case Arg::kSImm: case Arg::kZImm: return std::to_string(i.imm);
+    case Arg::kUImm: return std::to_string(i.imm & 0xFFFF);
+    case Arg::kMem: return std::to_string(i.imm) + "(" + reg_name(i.rs) + ")";
+    case Arg::kBranch: return hex(branch_target(pc, i));
+    case Arg::kJump: return hex(jump_target(pc, i));
+    case Arg::kNone: break;
+  }
+  return {};
 }
 
 }  // namespace
 
 std::string disassemble(std::uint32_t word, std::uint32_t pc) {
   const Instruction i = decode(word);
-  switch (i.op) {
-    case Op::kSll:
-      if (word == 0) return "nop";
-      return shift("sll", i.rd, i.rt, i.shamt);
-    case Op::kSrl: return shift("srl", i.rd, i.rt, i.shamt);
-    case Op::kSra: return shift("sra", i.rd, i.rt, i.shamt);
-    case Op::kSllv: return r3("sllv", i.rd, i.rt, i.rs);
-    case Op::kSrlv: return r3("srlv", i.rd, i.rt, i.rs);
-    case Op::kSrav: return r3("srav", i.rd, i.rt, i.rs);
-    case Op::kJr: return "jr " + reg_name(i.rs);
-    case Op::kJalr: return "jalr " + reg_name(i.rd) + ", " + reg_name(i.rs);
-    case Op::kSyscall: return "syscall";
-    case Op::kBreak: return "break";
-    case Op::kMfhi: return "mfhi " + reg_name(i.rd);
-    case Op::kMthi: return "mthi " + reg_name(i.rs);
-    case Op::kMflo: return "mflo " + reg_name(i.rd);
-    case Op::kMtlo: return "mtlo " + reg_name(i.rs);
-    case Op::kMult: return "mult " + reg_name(i.rs) + ", " + reg_name(i.rt);
-    case Op::kMultu: return "multu " + reg_name(i.rs) + ", " + reg_name(i.rt);
-    case Op::kDiv: return "div " + reg_name(i.rs) + ", " + reg_name(i.rt);
-    case Op::kDivu: return "divu " + reg_name(i.rs) + ", " + reg_name(i.rt);
-    case Op::kAdd: return r3("add", i.rd, i.rs, i.rt);
-    case Op::kAddu: return r3("addu", i.rd, i.rs, i.rt);
-    case Op::kSub: return r3("sub", i.rd, i.rs, i.rt);
-    case Op::kSubu: return r3("subu", i.rd, i.rs, i.rt);
-    case Op::kAnd: return r3("and", i.rd, i.rs, i.rt);
-    case Op::kOr: return r3("or", i.rd, i.rs, i.rt);
-    case Op::kXor: return r3("xor", i.rd, i.rs, i.rt);
-    case Op::kNor: return r3("nor", i.rd, i.rs, i.rt);
-    case Op::kSlt: return r3("slt", i.rd, i.rs, i.rt);
-    case Op::kSltu: return r3("sltu", i.rd, i.rs, i.rt);
-    case Op::kBltz: return branch1("bltz", i.rs, branch_target(pc, i));
-    case Op::kBgez: return branch1("bgez", i.rs, branch_target(pc, i));
-    case Op::kJ: return "j " + hex(jump_target(pc, i));
-    case Op::kJal: return "jal " + hex(jump_target(pc, i));
-    case Op::kBeq: return branch2("beq", i.rs, i.rt, branch_target(pc, i));
-    case Op::kBne: return branch2("bne", i.rs, i.rt, branch_target(pc, i));
-    case Op::kBlez: return branch1("blez", i.rs, branch_target(pc, i));
-    case Op::kBgtz: return branch1("bgtz", i.rs, branch_target(pc, i));
-    case Op::kAddi: return imm2("addi", i.rt, i.rs, i.imm);
-    case Op::kAddiu: return imm2("addiu", i.rt, i.rs, i.imm);
-    case Op::kSlti: return imm2("slti", i.rt, i.rs, i.imm);
-    case Op::kSltiu: return imm2("sltiu", i.rt, i.rs, i.imm);
-    case Op::kAndi: return imm2("andi", i.rt, i.rs, i.imm);
-    case Op::kOri: return imm2("ori", i.rt, i.rs, i.imm);
-    case Op::kXori: return imm2("xori", i.rt, i.rs, i.imm);
-    case Op::kLui:
-      return "lui " + reg_name(i.rt) + ", " + std::to_string(i.imm & 0xFFFF);
-    case Op::kLb: return mem("lb", reg_name(i.rt), i.rs, i.imm);
-    case Op::kLh: return mem("lh", reg_name(i.rt), i.rs, i.imm);
-    case Op::kLw: return mem("lw", reg_name(i.rt), i.rs, i.imm);
-    case Op::kLbu: return mem("lbu", reg_name(i.rt), i.rs, i.imm);
-    case Op::kLhu: return mem("lhu", reg_name(i.rt), i.rs, i.imm);
-    case Op::kSb: return mem("sb", reg_name(i.rt), i.rs, i.imm);
-    case Op::kSh: return mem("sh", reg_name(i.rt), i.rs, i.imm);
-    case Op::kSw: return mem("sw", reg_name(i.rt), i.rs, i.imm);
-    case Op::kLwc1: return mem("lwc1", freg_name(i.ft), i.rs, i.imm);
-    case Op::kSwc1: return mem("swc1", freg_name(i.ft), i.rs, i.imm);
-    case Op::kAddS: return f3("add.s", i.fd, i.fs, i.ft);
-    case Op::kSubS: return f3("sub.s", i.fd, i.fs, i.ft);
-    case Op::kMulS: return f3("mul.s", i.fd, i.fs, i.ft);
-    case Op::kDivS: return f3("div.s", i.fd, i.fs, i.ft);
-    case Op::kSqrtS: return f2("sqrt.s", i.fd, i.fs);
-    case Op::kAbsS: return f2("abs.s", i.fd, i.fs);
-    case Op::kMovS: return f2("mov.s", i.fd, i.fs);
-    case Op::kNegS: return f2("neg.s", i.fd, i.fs);
-    case Op::kCvtSW: return f2("cvt.s.w", i.fd, i.fs);
-    case Op::kTruncWS: return f2("trunc.w.s", i.fd, i.fs);
-    case Op::kCEqS: return "c.eq.s " + freg_name(i.fs) + ", " + freg_name(i.ft);
-    case Op::kCLtS: return "c.lt.s " + freg_name(i.fs) + ", " + freg_name(i.ft);
-    case Op::kCLeS: return "c.le.s " + freg_name(i.fs) + ", " + freg_name(i.ft);
-    case Op::kBc1f: return "bc1f " + hex(branch_target(pc, i));
-    case Op::kBc1t: return "bc1t " + hex(branch_target(pc, i));
-    case Op::kMfc1: return "mfc1 " + reg_name(i.rt) + ", " + freg_name(i.fs);
-    case Op::kMtc1: return "mtc1 " + reg_name(i.rt) + ", " + freg_name(i.fs);
-    case Op::kInvalid: break;
+  const OpInfo* info = op_info(i.op);
+  if (info == nullptr) return ".word " + hex(word);
+  if (word == 0) return "nop";
+  std::string text(info->name);
+  for (std::size_t a = 0; a < info->arg_count(); ++a) {
+    text += a == 0 ? " " : ", ";
+    text += operand_text(info->args[a], i, pc);
   }
-  return ".word " + hex(word);
+  return text;
 }
 
 }  // namespace asimt::isa

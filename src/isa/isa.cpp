@@ -2,293 +2,65 @@
 
 #include <array>
 #include <stdexcept>
+#include <string_view>
+
+#include "isa/opcodes.h"
 
 namespace asimt::isa {
 
 namespace {
 
-// Primary opcode field values (MIPS-I numbering).
-enum : std::uint32_t {
-  kOpSpecial = 0x00, kOpRegimm = 0x01, kOpJ = 0x02, kOpJal = 0x03,
-  kOpBeq = 0x04, kOpBne = 0x05, kOpBlez = 0x06, kOpBgtz = 0x07,
-  kOpAddi = 0x08, kOpAddiu = 0x09, kOpSlti = 0x0a, kOpSltiu = 0x0b,
-  kOpAndi = 0x0c, kOpOri = 0x0d, kOpXori = 0x0e, kOpLui = 0x0f,
-  kOpCop1 = 0x11,
-  kOpLb = 0x20, kOpLh = 0x21, kOpLw = 0x23, kOpLbu = 0x24, kOpLhu = 0x25,
-  kOpSb = 0x28, kOpSh = 0x29, kOpSw = 0x2b, kOpLwc1 = 0x31, kOpSwc1 = 0x39,
-};
-
-// SPECIAL funct field values.
-enum : std::uint32_t {
-  kFnSll = 0x00, kFnSrl = 0x02, kFnSra = 0x03,
-  kFnSllv = 0x04, kFnSrlv = 0x06, kFnSrav = 0x07,
-  kFnJr = 0x08, kFnJalr = 0x09, kFnSyscall = 0x0c, kFnBreak = 0x0d,
-  kFnMfhi = 0x10, kFnMthi = 0x11, kFnMflo = 0x12, kFnMtlo = 0x13,
-  kFnMult = 0x18, kFnMultu = 0x19, kFnDiv = 0x1a, kFnDivu = 0x1b,
-  kFnAdd = 0x20, kFnAddu = 0x21, kFnSub = 0x22, kFnSubu = 0x23,
-  kFnAnd = 0x24, kFnOr = 0x25, kFnXor = 0x26, kFnNor = 0x27,
-  kFnSlt = 0x2a, kFnSltu = 0x2b,
-};
-
-// COP1 fmt field values.
-enum : std::uint32_t {
-  kFmtMfc1 = 0x00, kFmtMtc1 = 0x04, kFmtBc1 = 0x08,
-  kFmtS = 0x10, kFmtW = 0x14,
-};
-
-// COP1.S funct field values.
-enum : std::uint32_t {
-  kFnAddS = 0x00, kFnSubS = 0x01, kFnMulS = 0x02, kFnDivS = 0x03,
-  kFnSqrtS = 0x04, kFnAbsS = 0x05, kFnMovS = 0x06, kFnNegS = 0x07,
-  kFnTruncWS = 0x0d, kFnCvtSW = 0x20,
-  kFnCEqS = 0x32, kFnCLtS = 0x3c, kFnCLeS = 0x3e,
-};
-
-std::uint32_t fields_r(std::uint32_t rs, std::uint32_t rt, std::uint32_t rd,
-                       std::uint32_t shamt, std::uint32_t funct) {
-  return (rs << 21) | (rt << 16) | (rd << 11) | (shamt << 6) | funct;
+// The bits operand `arg` contributes to the word of `inst`.
+std::uint32_t field_bits(Arg arg, const Instruction& inst) {
+  const auto imm = static_cast<std::uint32_t>(inst.imm) & 0xFFFFu;
+  switch (arg) {
+    case Arg::kNone: return 0;
+    case Arg::kRd: case Arg::kRdLink: return (inst.rd & 31u) << 11;
+    case Arg::kRs: return (inst.rs & 31u) << 21;
+    case Arg::kRt: return (inst.rt & 31u) << 16;
+    case Arg::kFd: return (inst.fd & 31u) << 6;
+    case Arg::kFs: return (inst.fs & 31u) << 11;
+    case Arg::kFt: return (inst.ft & 31u) << 16;
+    case Arg::kShamt: return (inst.shamt & 31u) << 6;
+    case Arg::kSImm: case Arg::kZImm: case Arg::kUImm: case Arg::kBranch:
+      return imm;
+    case Arg::kMem: return ((inst.rs & 31u) << 21) | imm;
+    case Arg::kJump: return inst.target & 0x03FFFFFFu;
+  }
+  return 0;
 }
 
-std::uint32_t fields_i(std::uint32_t op, std::uint32_t rs, std::uint32_t rt,
-                       std::int32_t imm) {
-  return (op << 26) | (rs << 21) | (rt << 16) |
-         (static_cast<std::uint32_t>(imm) & 0xFFFFu);
-}
+constexpr std::array<std::string_view, 32> kRegNames = {
+    "$zero", "$at", "$v0", "$v1", "$a0", "$a1", "$a2", "$a3",
+    "$t0", "$t1", "$t2", "$t3", "$t4", "$t5", "$t6", "$t7",
+    "$s0", "$s1", "$s2", "$s3", "$s4", "$s5", "$s6", "$s7",
+    "$t8", "$t9", "$k0", "$k1", "$gp", "$sp", "$fp", "$ra"};
 
-std::uint32_t fields_cop1(std::uint32_t fmt, std::uint32_t ft,
-                          std::uint32_t fs, std::uint32_t fd,
-                          std::uint32_t funct) {
-  return (kOpCop1 << 26) | (fmt << 21) | (ft << 16) | (fs << 11) | (fd << 6) |
-         funct;
-}
-
-std::int32_t sext16(std::uint32_t v) {
-  return static_cast<std::int32_t>(static_cast<std::int16_t>(v & 0xFFFFu));
+// A register number spelled in decimal; at least one digit, below 32.
+std::optional<unsigned> register_number(std::string_view digits) {
+  if (digits.empty()) return std::nullopt;
+  unsigned value = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<unsigned>(c - '0');
+  }
+  if (value < 32) return value;
+  return std::nullopt;
 }
 
 }  // namespace
 
 std::uint32_t encode(const Instruction& inst) {
-  const auto rs = static_cast<std::uint32_t>(inst.rs & 31);
-  const auto rt = static_cast<std::uint32_t>(inst.rt & 31);
-  const auto rd = static_cast<std::uint32_t>(inst.rd & 31);
-  const auto sh = static_cast<std::uint32_t>(inst.shamt & 31);
-  const auto fs = static_cast<std::uint32_t>(inst.fs & 31);
-  const auto ft = static_cast<std::uint32_t>(inst.ft & 31);
-  const auto fd = static_cast<std::uint32_t>(inst.fd & 31);
-  switch (inst.op) {
-    case Op::kSll: return fields_r(0, rt, rd, sh, kFnSll);
-    case Op::kSrl: return fields_r(0, rt, rd, sh, kFnSrl);
-    case Op::kSra: return fields_r(0, rt, rd, sh, kFnSra);
-    case Op::kSllv: return fields_r(rs, rt, rd, 0, kFnSllv);
-    case Op::kSrlv: return fields_r(rs, rt, rd, 0, kFnSrlv);
-    case Op::kSrav: return fields_r(rs, rt, rd, 0, kFnSrav);
-    case Op::kJr: return fields_r(rs, 0, 0, 0, kFnJr);
-    case Op::kJalr: return fields_r(rs, 0, rd, 0, kFnJalr);
-    case Op::kSyscall: return fields_r(0, 0, 0, 0, kFnSyscall);
-    case Op::kBreak: return fields_r(0, 0, 0, 0, kFnBreak);
-    case Op::kMfhi: return fields_r(0, 0, rd, 0, kFnMfhi);
-    case Op::kMthi: return fields_r(rs, 0, 0, 0, kFnMthi);
-    case Op::kMflo: return fields_r(0, 0, rd, 0, kFnMflo);
-    case Op::kMtlo: return fields_r(rs, 0, 0, 0, kFnMtlo);
-    case Op::kMult: return fields_r(rs, rt, 0, 0, kFnMult);
-    case Op::kMultu: return fields_r(rs, rt, 0, 0, kFnMultu);
-    case Op::kDiv: return fields_r(rs, rt, 0, 0, kFnDiv);
-    case Op::kDivu: return fields_r(rs, rt, 0, 0, kFnDivu);
-    case Op::kAdd: return fields_r(rs, rt, rd, 0, kFnAdd);
-    case Op::kAddu: return fields_r(rs, rt, rd, 0, kFnAddu);
-    case Op::kSub: return fields_r(rs, rt, rd, 0, kFnSub);
-    case Op::kSubu: return fields_r(rs, rt, rd, 0, kFnSubu);
-    case Op::kAnd: return fields_r(rs, rt, rd, 0, kFnAnd);
-    case Op::kOr: return fields_r(rs, rt, rd, 0, kFnOr);
-    case Op::kXor: return fields_r(rs, rt, rd, 0, kFnXor);
-    case Op::kNor: return fields_r(rs, rt, rd, 0, kFnNor);
-    case Op::kSlt: return fields_r(rs, rt, rd, 0, kFnSlt);
-    case Op::kSltu: return fields_r(rs, rt, rd, 0, kFnSltu);
-    case Op::kBltz: return fields_i(kOpRegimm, rs, 0, inst.imm);
-    case Op::kBgez: return fields_i(kOpRegimm, rs, 1, inst.imm);
-    case Op::kJ: return (kOpJ << 26) | (inst.target & 0x03FFFFFFu);
-    case Op::kJal: return (kOpJal << 26) | (inst.target & 0x03FFFFFFu);
-    case Op::kBeq: return fields_i(kOpBeq, rs, rt, inst.imm);
-    case Op::kBne: return fields_i(kOpBne, rs, rt, inst.imm);
-    case Op::kBlez: return fields_i(kOpBlez, rs, 0, inst.imm);
-    case Op::kBgtz: return fields_i(kOpBgtz, rs, 0, inst.imm);
-    case Op::kAddi: return fields_i(kOpAddi, rs, rt, inst.imm);
-    case Op::kAddiu: return fields_i(kOpAddiu, rs, rt, inst.imm);
-    case Op::kSlti: return fields_i(kOpSlti, rs, rt, inst.imm);
-    case Op::kSltiu: return fields_i(kOpSltiu, rs, rt, inst.imm);
-    case Op::kAndi: return fields_i(kOpAndi, rs, rt, inst.imm);
-    case Op::kOri: return fields_i(kOpOri, rs, rt, inst.imm);
-    case Op::kXori: return fields_i(kOpXori, rs, rt, inst.imm);
-    case Op::kLui: return fields_i(kOpLui, 0, rt, inst.imm);
-    case Op::kLb: return fields_i(kOpLb, rs, rt, inst.imm);
-    case Op::kLh: return fields_i(kOpLh, rs, rt, inst.imm);
-    case Op::kLw: return fields_i(kOpLw, rs, rt, inst.imm);
-    case Op::kLbu: return fields_i(kOpLbu, rs, rt, inst.imm);
-    case Op::kLhu: return fields_i(kOpLhu, rs, rt, inst.imm);
-    case Op::kSb: return fields_i(kOpSb, rs, rt, inst.imm);
-    case Op::kSh: return fields_i(kOpSh, rs, rt, inst.imm);
-    case Op::kSw: return fields_i(kOpSw, rs, rt, inst.imm);
-    case Op::kLwc1: return fields_i(kOpLwc1, rs, ft, inst.imm);
-    case Op::kSwc1: return fields_i(kOpSwc1, rs, ft, inst.imm);
-    case Op::kAddS: return fields_cop1(kFmtS, ft, fs, fd, kFnAddS);
-    case Op::kSubS: return fields_cop1(kFmtS, ft, fs, fd, kFnSubS);
-    case Op::kMulS: return fields_cop1(kFmtS, ft, fs, fd, kFnMulS);
-    case Op::kDivS: return fields_cop1(kFmtS, ft, fs, fd, kFnDivS);
-    case Op::kSqrtS: return fields_cop1(kFmtS, 0, fs, fd, kFnSqrtS);
-    case Op::kAbsS: return fields_cop1(kFmtS, 0, fs, fd, kFnAbsS);
-    case Op::kMovS: return fields_cop1(kFmtS, 0, fs, fd, kFnMovS);
-    case Op::kNegS: return fields_cop1(kFmtS, 0, fs, fd, kFnNegS);
-    case Op::kCvtSW: return fields_cop1(kFmtW, 0, fs, fd, kFnCvtSW);
-    case Op::kTruncWS: return fields_cop1(kFmtS, 0, fs, fd, kFnTruncWS);
-    case Op::kCEqS: return fields_cop1(kFmtS, ft, fs, 0, kFnCEqS);
-    case Op::kCLtS: return fields_cop1(kFmtS, ft, fs, 0, kFnCLtS);
-    case Op::kCLeS: return fields_cop1(kFmtS, ft, fs, 0, kFnCLeS);
-    case Op::kBc1f:
-      return (kOpCop1 << 26) | (kFmtBc1 << 21) |
-             (static_cast<std::uint32_t>(inst.imm) & 0xFFFFu);
-    case Op::kBc1t:
-      return (kOpCop1 << 26) | (kFmtBc1 << 21) | (1u << 16) |
-             (static_cast<std::uint32_t>(inst.imm) & 0xFFFFu);
-    case Op::kMfc1: return fields_cop1(kFmtMfc1, rt, fs, 0, 0);
-    case Op::kMtc1: return fields_cop1(kFmtMtc1, rt, fs, 0, 0);
-    case Op::kInvalid: break;
-  }
-  throw std::invalid_argument("encode: invalid instruction");
+  const OpInfo* info = op_info(inst.op);
+  if (info == nullptr) throw std::invalid_argument("encode: invalid instruction");
+  std::uint32_t word = info->match;
+  for (const Arg arg : info->args) word |= field_bits(arg, inst);
+  return word;
 }
 
-Instruction decode(std::uint32_t word) {
-  Instruction inst;
-  const std::uint32_t op = word >> 26;
-  const std::uint32_t rs = (word >> 21) & 31;
-  const std::uint32_t rt = (word >> 16) & 31;
-  const std::uint32_t rd = (word >> 11) & 31;
-  const std::uint32_t shamt = (word >> 6) & 31;
-  const std::uint32_t funct = word & 63;
-  inst.rs = static_cast<std::uint8_t>(rs);
-  inst.rt = static_cast<std::uint8_t>(rt);
-  inst.rd = static_cast<std::uint8_t>(rd);
-  inst.shamt = static_cast<std::uint8_t>(shamt);
-  inst.imm = sext16(word);
-  inst.target = word & 0x03FFFFFFu;
+bool is_branch(Op op) { return has_arg(op, Arg::kBranch); }
 
-  switch (op) {
-    case kOpSpecial:
-      switch (funct) {
-        case kFnSll: inst.op = Op::kSll; break;
-        case kFnSrl: inst.op = Op::kSrl; break;
-        case kFnSra: inst.op = Op::kSra; break;
-        case kFnSllv: inst.op = Op::kSllv; break;
-        case kFnSrlv: inst.op = Op::kSrlv; break;
-        case kFnSrav: inst.op = Op::kSrav; break;
-        case kFnJr: inst.op = Op::kJr; break;
-        case kFnJalr: inst.op = Op::kJalr; break;
-        case kFnSyscall: inst.op = Op::kSyscall; break;
-        case kFnBreak: inst.op = Op::kBreak; break;
-        case kFnMfhi: inst.op = Op::kMfhi; break;
-        case kFnMthi: inst.op = Op::kMthi; break;
-        case kFnMflo: inst.op = Op::kMflo; break;
-        case kFnMtlo: inst.op = Op::kMtlo; break;
-        case kFnMult: inst.op = Op::kMult; break;
-        case kFnMultu: inst.op = Op::kMultu; break;
-        case kFnDiv: inst.op = Op::kDiv; break;
-        case kFnDivu: inst.op = Op::kDivu; break;
-        case kFnAdd: inst.op = Op::kAdd; break;
-        case kFnAddu: inst.op = Op::kAddu; break;
-        case kFnSub: inst.op = Op::kSub; break;
-        case kFnSubu: inst.op = Op::kSubu; break;
-        case kFnAnd: inst.op = Op::kAnd; break;
-        case kFnOr: inst.op = Op::kOr; break;
-        case kFnXor: inst.op = Op::kXor; break;
-        case kFnNor: inst.op = Op::kNor; break;
-        case kFnSlt: inst.op = Op::kSlt; break;
-        case kFnSltu: inst.op = Op::kSltu; break;
-        default: inst.op = Op::kInvalid; break;
-      }
-      break;
-    case kOpRegimm:
-      inst.op = (rt == 1) ? Op::kBgez : (rt == 0 ? Op::kBltz : Op::kInvalid);
-      break;
-    case kOpJ: inst.op = Op::kJ; break;
-    case kOpJal: inst.op = Op::kJal; break;
-    case kOpBeq: inst.op = Op::kBeq; break;
-    case kOpBne: inst.op = Op::kBne; break;
-    case kOpBlez: inst.op = Op::kBlez; break;
-    case kOpBgtz: inst.op = Op::kBgtz; break;
-    case kOpAddi: inst.op = Op::kAddi; break;
-    case kOpAddiu: inst.op = Op::kAddiu; break;
-    case kOpSlti: inst.op = Op::kSlti; break;
-    case kOpSltiu: inst.op = Op::kSltiu; break;
-    case kOpAndi: inst.op = Op::kAndi; break;
-    case kOpOri: inst.op = Op::kOri; break;
-    case kOpXori: inst.op = Op::kXori; break;
-    case kOpLui: inst.op = Op::kLui; break;
-    case kOpLb: inst.op = Op::kLb; break;
-    case kOpLh: inst.op = Op::kLh; break;
-    case kOpLw: inst.op = Op::kLw; break;
-    case kOpLbu: inst.op = Op::kLbu; break;
-    case kOpLhu: inst.op = Op::kLhu; break;
-    case kOpSb: inst.op = Op::kSb; break;
-    case kOpSh: inst.op = Op::kSh; break;
-    case kOpSw: inst.op = Op::kSw; break;
-    case kOpLwc1:
-      inst.op = Op::kLwc1;
-      inst.ft = static_cast<std::uint8_t>(rt);
-      break;
-    case kOpSwc1:
-      inst.op = Op::kSwc1;
-      inst.ft = static_cast<std::uint8_t>(rt);
-      break;
-    case kOpCop1: {
-      const std::uint32_t fmt = rs;
-      inst.ft = static_cast<std::uint8_t>(rt);
-      inst.fs = static_cast<std::uint8_t>(rd);
-      inst.fd = static_cast<std::uint8_t>(shamt);
-      if (fmt == kFmtMfc1) {
-        inst.op = Op::kMfc1;  // rt = integer destination, fs = source
-      } else if (fmt == kFmtMtc1) {
-        inst.op = Op::kMtc1;  // rt = integer source, fs = destination
-      } else if (fmt == kFmtBc1) {
-        inst.op = (rt & 1) ? Op::kBc1t : Op::kBc1f;
-      } else if (fmt == kFmtS) {
-        switch (funct) {
-          case kFnAddS: inst.op = Op::kAddS; break;
-          case kFnSubS: inst.op = Op::kSubS; break;
-          case kFnMulS: inst.op = Op::kMulS; break;
-          case kFnDivS: inst.op = Op::kDivS; break;
-          case kFnSqrtS: inst.op = Op::kSqrtS; break;
-          case kFnAbsS: inst.op = Op::kAbsS; break;
-          case kFnMovS: inst.op = Op::kMovS; break;
-          case kFnNegS: inst.op = Op::kNegS; break;
-          case kFnTruncWS: inst.op = Op::kTruncWS; break;
-          case kFnCEqS: inst.op = Op::kCEqS; break;
-          case kFnCLtS: inst.op = Op::kCLtS; break;
-          case kFnCLeS: inst.op = Op::kCLeS; break;
-          default: inst.op = Op::kInvalid; break;
-        }
-      } else if (fmt == kFmtW) {
-        inst.op = (funct == kFnCvtSW) ? Op::kCvtSW : Op::kInvalid;
-      } else {
-        inst.op = Op::kInvalid;
-      }
-      break;
-    }
-    default: inst.op = Op::kInvalid; break;
-  }
-  return inst;
-}
-
-bool is_branch(Op op) {
-  switch (op) {
-    case Op::kBeq: case Op::kBne: case Op::kBlez: case Op::kBgtz:
-    case Op::kBltz: case Op::kBgez: case Op::kBc1f: case Op::kBc1t:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_jump(Op op) { return op == Op::kJ || op == Op::kJal; }
+bool is_jump(Op op) { return has_arg(op, Arg::kJump); }
 
 bool is_indirect_jump(Op op) { return op == Op::kJr || op == Op::kJalr; }
 
@@ -308,43 +80,24 @@ std::uint32_t jump_target(std::uint32_t pc, const Instruction& inst) {
 }
 
 std::string reg_name(unsigned r) {
-  static constexpr const char* kNames[32] = {
-      "$zero", "$at", "$v0", "$v1", "$a0", "$a1", "$a2", "$a3",
-      "$t0", "$t1", "$t2", "$t3", "$t4", "$t5", "$t6", "$t7",
-      "$s0", "$s1", "$s2", "$s3", "$s4", "$s5", "$s6", "$s7",
-      "$t8", "$t9", "$k0", "$k1", "$gp", "$sp", "$fp", "$ra"};
-  return r < 32 ? kNames[r] : "$?";
+  return r < 32 ? std::string(kRegNames[r]) : "$?";
 }
 
 std::string freg_name(unsigned r) {
   return r < 32 ? "$f" + std::to_string(r) : "$f?";
 }
 
-std::optional<unsigned> parse_reg(const std::string& name) {
+std::optional<unsigned> parse_reg(std::string_view name) {
   for (unsigned r = 0; r < 32; ++r) {
-    if (reg_name(r) == name) return r;
+    if (kRegNames[r] == name) return r;
   }
-  if (name.size() >= 2 && name[0] == '$') {
-    unsigned value = 0;
-    for (std::size_t i = 1; i < name.size(); ++i) {
-      if (name[i] < '0' || name[i] > '9') return std::nullopt;
-      value = value * 10 + static_cast<unsigned>(name[i] - '0');
-    }
-    if (value < 32) return value;
-  }
-  return std::nullopt;
+  if (name.empty() || name[0] != '$') return std::nullopt;
+  return register_number(name.substr(1));
 }
 
-std::optional<unsigned> parse_freg(const std::string& name) {
-  if (name.size() >= 3 && name[0] == '$' && name[1] == 'f') {
-    unsigned value = 0;
-    for (std::size_t i = 2; i < name.size(); ++i) {
-      if (name[i] < '0' || name[i] > '9') return std::nullopt;
-      value = value * 10 + static_cast<unsigned>(name[i] - '0');
-    }
-    if (value < 32) return value;
-  }
-  return std::nullopt;
+std::optional<unsigned> parse_freg(std::string_view name) {
+  if (name.size() < 2 || name[0] != '$' || name[1] != 'f') return std::nullopt;
+  return register_number(name.substr(2));
 }
 
 }  // namespace asimt::isa

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace asimt::isa {
 
@@ -62,10 +63,11 @@ struct Instruction {
   std::uint32_t target = 0;  // raw 26-bit jump target field
 };
 
-// Binary encoding/decoding. encode() throws std::invalid_argument for
-// kInvalid; decode() returns op == kInvalid for unknown words.
+// Binary encoding/decoding, both driven by the opcode table in
+// isa/opcodes.h. encode() throws std::invalid_argument for kInvalid; decode()
+// returns op == kInvalid for unknown words.
 std::uint32_t encode(const Instruction& inst);
-Instruction decode(std::uint32_t word);
+inline Instruction decode(std::uint32_t word);
 
 // Text form, e.g. "addiu $t0, $t0, -1". `pc` resolves branch/jump targets to
 // absolute addresses.
@@ -87,7 +89,10 @@ std::uint32_t jump_target(std::uint32_t pc, const Instruction& inst);
 std::string reg_name(unsigned r);
 std::string freg_name(unsigned r);
 // Parses either form; returns nullopt for unknown names.
-std::optional<unsigned> parse_reg(const std::string& name);
-std::optional<unsigned> parse_freg(const std::string& name);
+std::optional<unsigned> parse_reg(std::string_view name);
+std::optional<unsigned> parse_freg(std::string_view name);
 
 }  // namespace asimt::isa
+
+// decode() is defined inline beside the opcode table it reads.
+#include "isa/opcodes.h"

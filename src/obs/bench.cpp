@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 
+#include "check/rng.h"
 #include "obs/history.h"
 #include "obs/manifest.h"
 #include "obs/selfmetrics.h"
@@ -32,14 +33,6 @@ std::uint64_t fnv1a(const std::string& s) {
     h *= 0x100000001B3ull;
   }
   return h;
-}
-
-// Same SplitMix64 as the stats kernel, for the mock-time stream.
-std::uint64_t splitmix(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 }  // namespace
@@ -129,11 +122,11 @@ std::optional<json::Value> BenchRunner::run_one(const BenchSpec& spec,
     }
   }
 
-  std::uint64_t mock_state = options.seed ^ fnv1a(spec.name);
+  check::Rng mock_rng(options.seed ^ fnv1a(spec.name));
   const auto next_mock_ns = [&]() {
     // ~1–2 microseconds per op with small deterministic jitter.
     return static_cast<std::int64_t>(1000 + (fnv1a(spec.name) % 1000) +
-                                     splitmix(mock_state) % 50);
+                                     mock_rng.next() % 50);
   };
 
   std::vector<double> ns_per_op;

@@ -4,22 +4,11 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "check/rng.h"
+
 namespace asimt::obs {
 
 namespace {
-
-// SplitMix64 (Steele/Lea/Flood) — same fully specified stream the fuzzer
-// uses (src/check/rng.h), duplicated here so obs does not pull in the
-// encoder stack just for 64 random bits.
-struct SplitMix64 {
-  std::uint64_t state;
-  std::uint64_t next() {
-    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-};
 
 double sorted_median(const std::vector<double>& sorted) {
   const std::size_t n = sorted.size();
@@ -83,7 +72,7 @@ SampleStats summarize(const std::vector<double>& samples,
   // Percentile bootstrap of the median. Resampled medians are sorted and
   // the (1±confidence)/2 quantiles read off; modulo bias in the index draw
   // is irrelevant at these n and keeps the arithmetic identical everywhere.
-  SplitMix64 rng{options.seed};
+  check::Rng rng(options.seed);
   const int resamples = std::max(1, options.resamples);
   std::vector<double> medians;
   medians.reserve(static_cast<std::size_t>(resamples));

@@ -17,14 +17,6 @@ namespace asimt::serve {
 
 namespace {
 
-// SplitMix64 step — the repo-standard seed expansion (check/rng.h).
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 constexpr const char* kModeNames[kChaosModeCount] = {"chop", "stall", "garbage",
                                                      "disconnect"};
 
@@ -55,8 +47,8 @@ ChaosSchedule::ChaosSchedule(const ChaosOptions& options,
   // Same stream-derivation shape as the loadgen's per-connection seeds: one
   // SplitMix64 state per (seed, conn, direction), decorrelated by the golden
   // ratio. The ordinal starts at 1 (accept order), directions at 0/1.
-  rng_ = options.seed ^
-         (0x9E3779B97F4A7C15ull * (conn_ordinal * 2 + (to_upstream ? 0 : 1)));
+  rng_ = check::Rng(options.seed ^ (0x9E3779B97F4A7C15ull *
+                                     (conn_ordinal * 2 + (to_upstream ? 0 : 1))));
   any_enabled_ = false;
   for (unsigned m = 0; m < kChaosModeCount; ++m) {
     // Garbage must be a protocol-level *request*; injecting junk lines into
@@ -76,7 +68,7 @@ void ChaosSchedule::generate() {
   // Gap uniform in [1, 2*mean-1]: mean exactly mean_gap_bytes, never zero —
   // two faults can't fire at the same offset.
   const std::uint64_t mean = std::max<std::uint64_t>(1, options_.mean_gap_bytes);
-  const std::uint64_t gap = 1 + splitmix64(rng_) % (2 * mean - 1);
+  const std::uint64_t gap = 1 + rng_.next() % (2 * mean - 1);
   cursor_ += gap;
   next_.offset = cursor_;
   // Weighted draw over the enabled modes. Weights favor the benign faults
@@ -90,7 +82,7 @@ void ChaosSchedule::generate() {
         (to_upstream_ || static_cast<ChaosMode>(m) != ChaosMode::kGarbage);
     if (usable) total += kWeights[m];
   }
-  std::uint64_t draw = splitmix64(rng_) % total;
+  std::uint64_t draw = rng_.next() % total;
   for (unsigned m = 0; m < kChaosModeCount; ++m) {
     const bool usable =
         options_.enabled[m] &&

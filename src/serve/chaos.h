@@ -36,6 +36,8 @@
 #include <string>
 #include <thread>
 
+#include "check/rng.h"
+
 namespace asimt::serve {
 
 enum class ChaosMode : unsigned {
@@ -102,7 +104,7 @@ class ChaosSchedule {
   ChaosOptions options_;
   bool to_upstream_;
   bool any_enabled_;
-  std::uint64_t rng_;
+  check::Rng rng_{0};
   std::uint64_t cursor_ = 0;
   Event next_;
 };

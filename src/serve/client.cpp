@@ -13,19 +13,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "check/rng.h"
 #include "obsv/span.h"
 
 namespace asimt::serve {
 
 namespace {
-
-// SplitMix64 step — the repo-standard seed expansion (check/rng.h).
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 // Remaining-time helper: milliseconds until `deadline_ns`, or -1 for "no
 // deadline". Clamped at >= 1 while time remains so poll never spins.
@@ -215,7 +208,7 @@ std::uint64_t jittered_backoff_ms(std::uint64_t& rng_state, unsigned attempt,
   }
   ceiling = std::min(ceiling, policy.max_backoff_ms);
   if (ceiling == 0) return 0;
-  return splitmix64(rng_state) % (ceiling + 1);
+  return check::Rng::step(rng_state) % (ceiling + 1);
 }
 
 namespace {

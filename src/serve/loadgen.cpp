@@ -7,6 +7,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "check/rng.h"
 #include "obs/manifest.h"
 #include "serve/client.h"
 #include "telemetry/json.h"
@@ -16,22 +17,6 @@ namespace asimt::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// SplitMix64: the repo's standard seed-expansion PRNG (check/rng.h uses the
-// same construction). Deterministic across platforms.
-struct SplitMix64 {
-  std::uint64_t state;
-  std::uint64_t next() {
-    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-  // Uniform double in (0, 1] — never 0, so -log() is finite.
-  double next_unit() {
-    return (static_cast<double>(next() >> 11) + 1.0) / 9007199254740993.0;
-  }
-};
 
 // The deterministic workload pool: small countdown kernels whose loop bodies
 // differ enough that each assembles to a distinct instruction image (its own
@@ -156,9 +141,9 @@ void run_connection(const LoadgenOptions& options, unsigned conn_index,
   // Workload stream: pacing + request picks, byte-compatible with the
   // pre-reconnect loadgen. Backoff stream: separate state, so an outage
   // consumes no workload draws and the request sequence stays deterministic.
-  SplitMix64 rng{options.seed ^ (0x9E3779B97F4A7C15ull * (conn_index + 1))};
-  SplitMix64 backoff_rng{options.seed ^ 0xB4C0FF5EED5EED5Eull ^
-                         (0x9E3779B97F4A7C15ull * (conn_index + 1))};
+  check::Rng rng(options.seed ^ (0x9E3779B97F4A7C15ull * (conn_index + 1)));
+  check::Rng backoff_rng(options.seed ^ 0xB4C0FF5EED5EED5Eull ^
+                         (0x9E3779B97F4A7C15ull * (conn_index + 1)));
 
   std::unordered_map<std::uint64_t, Clock::time_point> inflight;
   bool connected = true;

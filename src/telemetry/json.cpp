@@ -206,8 +206,15 @@ class Parser {
   Value parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxParseDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxParseDepth));
+        }
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -289,31 +296,52 @@ class Parser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad hex digit in \\u escape");
+          unsigned code = parse_hex4();
+          if (code >= 0xDC00 && code <= 0xDFFF) fail("unpaired low surrogate");
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            if (!consume_literal("\\u")) fail("unpaired high surrogate");
+            const unsigned low = parse_hex4();
+            if (low < 0xDC00 || low > 0xDFFF) fail("unpaired high surrogate");
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
           }
-          // UTF-8 encode (surrogate pairs unsupported; telemetry emits none).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
+          append_utf8(out, code);
           break;
         }
         default: fail("bad escape character");
       }
+    }
+  }
+
+  // The four hex digits of a \u escape.
+  unsigned parse_hex4() {
+    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
+      else fail("bad hex digit in \\u escape");
+    }
+    return code;
+  }
+
+  static void append_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
     }
   }
 
@@ -350,6 +378,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -111,8 +111,13 @@ class Value {
   Object object_;
 };
 
-// Parses one JSON document; throws ParseError on malformed input or
-// trailing garbage.
+// Arrays and objects nested deeper than this are a ParseError, so no input
+// can exhaust the parser's stack.
+inline constexpr int kMaxParseDepth = 512;
+
+// Parses one JSON document; throws ParseError on malformed input, trailing
+// garbage, nesting deeper than kMaxParseDepth, or a \u escape of an
+// unpaired UTF-16 surrogate.
 Value parse(std::string_view text);
 
 // Parses a JSON-Lines document: one JSON value per non-empty line.

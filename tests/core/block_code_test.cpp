@@ -74,8 +74,11 @@ TEST(DecodeBlockOverlapped, MatchesChainInitialWhenOverlapBitAgrees) {
 // Figure 3: TTN / RTN / improvement for block sizes 2..7.
 // ---------------------------------------------------------------------------
 
+// Every field is 8 bytes wide, so the struct has no padding: gtest prints the
+// param as a byte dump into each test's name, and padding bytes would put
+// uninitialised memory there, giving the test a different name per build.
 struct Fig3Row {
-  int k;
+  long long k;
   long long ttn;
   long long rtn;
   double improvement;
@@ -85,7 +88,7 @@ class Fig3Test : public ::testing::TestWithParam<Fig3Row> {};
 
 TEST_P(Fig3Test, MatchesExhaustiveSolve) {
   const Fig3Row row = GetParam();
-  const BlockCode code = solve_block_code(row.k);
+  const BlockCode code = solve_block_code(static_cast<int>(row.k));
   EXPECT_EQ(code.ttn(), row.ttn);
   EXPECT_EQ(code.rtn(), row.rtn);
   EXPECT_NEAR(code.improvement_percent(), row.improvement, 0.05);

@@ -2,28 +2,16 @@
 // AssemblyError (never crash, never emit silently wrong code).
 #include <gtest/gtest.h>
 
-#include <random>
 #include <string>
 
 #include "isa/assembler.h"
+#include "fuzz_inputs.h"
 
 namespace asimt::isa {
 namespace {
 
 TEST(AssemblerFuzz, RandomPrintableGarbage) {
-  std::mt19937 rng(0xFADE);
-  const std::string charset =
-      "abcdefghijklmnopqrstuvwxyz0123456789$,.()-: \t#%";
-  for (int trial = 0; trial < 300; ++trial) {
-    std::string source;
-    const int lines = 1 + static_cast<int>(rng() % 5);
-    for (int l = 0; l < lines; ++l) {
-      const int len = static_cast<int>(rng() % 40);
-      for (int i = 0; i < len; ++i) {
-        source.push_back(charset[rng() % charset.size()]);
-      }
-      source.push_back('\n');
-    }
+  for (const std::string& source : fuzz_inputs::random_garbage()) {
     try {
       const Program p = assemble(source);
       // Accepting is fine (comments, labels, blank lines) but anything
@@ -36,21 +24,7 @@ TEST(AssemblerFuzz, RandomPrintableGarbage) {
 }
 
 TEST(AssemblerFuzz, ValidMnemonicsWithMangledOperands) {
-  std::mt19937 rng(0xBEAD);
-  const char* mnemonics[] = {"addu", "lw",   "sw",    "beq",  "j",
-                             "sll",  "mult", "mul.s", "lwc1", "li",
-                             "la",   "jr",   "bne",   "lui",  "c.lt.s"};
-  const char* operands[] = {"$t0",    "$f1",  "42",     "-1",   "0x10",
-                            "4($t1)", "($t2)", "label",  "$zero", "",
-                            "$t9x",   "99999999", "%hi(x)", "$32"};
-  for (int trial = 0; trial < 500; ++trial) {
-    std::string line = mnemonics[rng() % std::size(mnemonics)];
-    const int count = static_cast<int>(rng() % 4);
-    for (int i = 0; i < count; ++i) {
-      line += i == 0 ? " " : ", ";
-      line += operands[rng() % std::size(operands)];
-    }
-    line += "\n";
+  for (const std::string& line : fuzz_inputs::mangled_operands()) {
     try {
       assemble(line);
     } catch (const AssemblyError& e) {

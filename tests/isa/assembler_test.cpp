@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/isa.h"
 
 namespace asimt::isa {
@@ -287,6 +289,47 @@ TEST(AssemblerErrors, ImmediateRange) {
 TEST(AssemblerErrors, WrongOperandCount) {
   EXPECT_THROW(assemble("addu $t0, $t1\n"), AssemblyError);
   EXPECT_THROW(assemble("nop $t0\n"), AssemblyError);
+}
+
+// The line number of the AssemblyError `source` raises; 0 if it assembles
+// or throws anything else.
+int error_line(const std::string& source) {
+  try {
+    assemble(source);
+  } catch (const AssemblyError& e) {
+    return e.line();
+  } catch (...) {
+  }
+  return 0;
+}
+
+// .align's exponent must be 0..16. It used to reach `1u << n` unchecked:
+// `.align 36` shifted by more than the width (undefined) and `.align 24`
+// built a 16 MiB text image of nops.
+TEST(AssemblerErrors, AlignExponentOutOfRangeIsDiagnosed) {
+  EXPECT_EQ(error_line(".data\n.word 1\n.align 36\n"), 3);
+  EXPECT_EQ(error_line("nop\n.align 17\n"), 2);
+  EXPECT_EQ(error_line(".data\n.align -1\n"), 2);
+  EXPECT_EQ(error_line(".align\n"), 1);
+  EXPECT_EQ(assemble("nop\n.align 16\nx: nop\n").symbol("x"), 0x00410000u);
+}
+
+// A negative .space used to wrap the layout pc and then fail inside
+// std::vector with a length_error instead of an AssemblyError.
+TEST(AssemblerErrors, NegativeSpaceIsDiagnosed) {
+  EXPECT_EQ(error_line(".data\n.space -1\n"), 2);
+  EXPECT_EQ(error_line(".data\n.space\n"), 2);
+}
+
+// Both images are capped at 16 MiB in the layout pass, before anything is
+// allocated; `.space 1000000000` used to allocate a gigabyte. The 257th
+// 64 KiB-aligned nop is the first word past the cap.
+TEST(AssemblerErrors, ImageSizeIsCapped) {
+  EXPECT_NO_THROW(assemble(".data\n.space 16777216\n"));
+  EXPECT_EQ(error_line(".data\n.space 16777217\n"), 2);
+  std::string text;
+  for (int i = 0; i < 257; ++i) text += "nop\n.align 16\n";
+  EXPECT_EQ(error_line(text), 513);
 }
 
 TEST(AssemblerErrors, InstructionInDataSection) {

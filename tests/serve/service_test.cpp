@@ -106,6 +106,35 @@ TEST(Service, AssemblyErrorsAreTheirOwnKindWithLineDiagnostics) {
             std::string::npos);
 }
 
+// Out-of-bounds .align/.space directives are assembly errors with a line
+// number. They used to answer `internal` (.space -1), shift by more than 31
+// (.align 36) or allocate as much as the request asked for (.space), up to
+// a gigabyte of daemon memory for `.space 1000000000`.
+TEST(Service, BoundedDirectivesAnswerAssemblyErrors) {
+  Service service;
+  for (const std::string text :
+       {".data\n.space -1\n", ".data\n.word 1\n.align 36\n",
+        ".data\n.space 16777217\n"}) {
+    const json::Value reply = reply_of(service, encode_request(text));
+    EXPECT_FALSE(reply.at("ok").as_bool()) << text;
+    EXPECT_EQ(reply.at("error").at("kind").as_string(), "assembly") << text;
+    EXPECT_EQ(reply.at("error").at("message").as_string().rfind("line ", 0), 0u)
+        << text;
+  }
+}
+
+// A request line nested 500 000 deep used to overflow the daemon's stack;
+// a lone-surrogate id used to be echoed back as invalid UTF-8.
+TEST(Service, HostileJsonAnswersParseErrors) {
+  Service service;
+  expect_error(service, std::string(500000, '['), "parse");
+  expect_error(service, "{\"id\":\"\\ud800\",\"op\":\"ping\"}", "parse");
+  const json::Value reply =
+      reply_of(service, "{\"id\":\"\\ud83d\\ude00\",\"op\":\"ping\"}");
+  EXPECT_TRUE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("id").as_string(), "\xF0\x9F\x98\x80");
+}
+
 TEST(Service, OversizedTextIsRejectedNotEncoded) {
   ServiceOptions options;
   options.max_text_bytes = 64;

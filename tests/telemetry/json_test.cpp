@@ -7,6 +7,7 @@
 #include <clocale>
 #include <cmath>
 #include <limits>
+#include <string>
 
 namespace asimt::json {
 namespace {
@@ -89,6 +90,34 @@ TEST(JsonParse, Errors) {
   EXPECT_THROW(parse("{} trailing"), ParseError);
   EXPECT_THROW(parse("{\"a\":}"), ParseError);
   EXPECT_THROW(parse("0x10"), ParseError);
+}
+
+// One line of 500 000 '[' used to recurse until the stack overflowed.
+TEST(JsonParse, NestingDepthIsBounded) {
+  EXPECT_THROW(parse(std::string(500000, '[')), ParseError);
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(parse(nested(kMaxParseDepth)));
+  EXPECT_THROW(parse(nested(kMaxParseDepth + 1)), ParseError);
+  EXPECT_THROW(parse("{\"a\":" + nested(kMaxParseDepth) + "}"), ParseError);
+}
+
+TEST(JsonParse, SurrogatePairsDecodeToFourByteUtf8) {
+  EXPECT_EQ(parse("\"\\ud83d\\ude00\"").as_string(), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(parse("\"\\uD800\\uDC00\"").as_string(), "\xF0\x90\x80\x80");
+  EXPECT_EQ(parse("\"\\udbff\\udfff\"").as_string(), "\xF4\x8F\xBF\xBF");
+  EXPECT_EQ(parse("\"\\uffff\"").as_string(), "\xEF\xBF\xBF");
+}
+
+// A lone surrogate used to decode to the invalid UTF-8 bytes ED A0 80.
+TEST(JsonParse, LoneSurrogatesAreParseErrors) {
+  for (const char* text : {"\"\\ud800\"", "\"\\udc00\"", "\"\\ud800x\"",
+                           "\"\\ud800\\u0041\"", "\"\\ud800\\ud800\"",
+                           "\"\\ud800\\n\""}) {
+    EXPECT_THROW(parse(text), ParseError) << text;
+  }
 }
 
 TEST(JsonParse, RoundTripComplexDocument) {
